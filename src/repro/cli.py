@@ -529,10 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_parser.add_argument(
         "--no-batch", action="store_true",
-        help="disable the batched lockstep kernel for same-cadence tasks and "
-             "run every simulation scalar (results are bitwise identical "
-             "either way; with --jobs N each planned bucket is one pool "
-             "work unit, so batching and workers compose)",
+        help="disable the batched lockstep kernel for tasks that share a "
+             "deployment and run every simulation scalar (results are "
+             "bitwise identical either way; with --jobs N each planned "
+             "bucket is one pool work unit, so batching and workers "
+             "compose)",
     )
     matrix_parser.add_argument(
         "--task-timeout", type=_task_timeout, default=None, metavar="SECONDS",

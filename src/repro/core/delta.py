@@ -22,12 +22,13 @@ import numpy as np
 from repro.config.scenario import ScenarioConfig
 from repro.core import metrics
 from repro.errors import AnalysisError, ExperimentError
+from repro.model.batch import simulate_many
 from repro.model.results import RunResult
-from repro.model.simulator import simulate_scenario
 
 __all__ = [
     "DeltaPoint",
     "DeltaSweep",
+    "assemble_sweep",
     "run_delta_sweep",
     "default_deltas",
     "alone_times_for",
@@ -307,6 +308,30 @@ def alone_times_for(scenario: ScenarioConfig, alone_result: RunResult) -> Dict[s
     }
 
 
+def assemble_sweep(
+    scenario: ScenarioConfig,
+    deltas: Sequence[float],
+    results: Sequence[RunResult],
+    alone_result: RunResult,
+    label: str = "",
+) -> DeltaSweep:
+    """The :class:`DeltaSweep` of already simulated Δ points.
+
+    ``results[i]`` is the run of ``scenario.with_delay(deltas[i])``; the
+    points come out sorted by delay.
+    """
+    points = [
+        DeltaPoint.from_run_result(delta, result)
+        for delta, result in zip(deltas, results)
+    ]
+    points.sort(key=lambda p: p.delta)
+    return DeltaSweep(
+        points=points,
+        alone_times=alone_times_for(scenario, alone_result),
+        label=label or scenario.label,
+    )
+
+
 def run_delta_sweep(
     scenario: ScenarioConfig,
     deltas: Sequence[float],
@@ -317,6 +342,12 @@ def run_delta_sweep(
     progress: Optional[Callable[[float, RunResult], None]] = None,
 ) -> DeltaSweep:
     """Run a Δ-graph sweep for a two-application scenario.
+
+    Every point (and the baseline, when it is simulated here) shares one
+    deployment, so they run together through
+    :func:`~repro.model.batch.simulate_many`: the batched kernel advances
+    them in lockstep, each on its own clock, with results identical to
+    simulating each point alone.
 
     Parameters
     ----------
@@ -334,24 +365,21 @@ def run_delta_sweep(
     label:
         Label stored on the resulting sweep.
     progress:
-        Optional callback invoked as ``progress(delta, result)`` after each
-        point (used by the CLI for progress reporting).
+        Optional callback invoked as ``progress(delta, result)`` for each
+        point, in the order of ``deltas``, once all of them have run (used
+        by the CLI for progress reporting).
     """
     if len(scenario.applications) < 2:
         raise ExperimentError("a delta sweep needs a two-application scenario")
 
+    runs = [scenario.with_delay(float(delta)) for delta in deltas]
     if alone_result is None:
-        alone_scenario = scenario.with_applications(scenario.applications[:1])
-        alone_result = simulate_scenario(alone_scenario, seed=seed)
-    alone_times = alone_times_for(scenario, alone_result)
+        runs.append(scenario.with_applications(scenario.applications[:1]))
+    results = simulate_many(runs, [seed] * len(runs))
+    if alone_result is None:
+        alone_result = results.pop()
 
-    points: List[DeltaPoint] = []
-    for delta in deltas:
-        run_scenario = scenario.with_delay(float(delta))
-        result = simulate_scenario(run_scenario, seed=seed)
-        points.append(DeltaPoint.from_run_result(delta, result))
-        if progress is not None:
+    if progress is not None:
+        for delta, result in zip(deltas, results):
             progress(float(delta), result)
-
-    points.sort(key=lambda p: p.delta)
-    return DeltaSweep(points=points, alone_times=alone_times, label=label or scenario.label)
+    return assemble_sweep(scenario, deltas, results, alone_result, label)

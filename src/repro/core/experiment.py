@@ -10,6 +10,10 @@ paper-style experiment reads:
     exp = TwoApplicationExperiment("reduced", device="hdd", sync_mode="sync-on")
     sweep = exp.run_sweep()
     print(sweep.peak_interference_factor(), sweep.asymmetry_index())
+
+A figure with several configurations builds all of its experiments first and
+hands them to :func:`run_sweeps`, which simulates every baseline in one
+batched call and every Δ point in one more.
 """
 
 from __future__ import annotations
@@ -18,12 +22,18 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config.presets import make_scenario
 from repro.config.scenario import ScenarioConfig
-from repro.core.delta import DeltaSweep, default_deltas, run_delta_sweep
+from repro.core.delta import (
+    DeltaSweep,
+    assemble_sweep,
+    default_deltas,
+    run_delta_sweep,
+)
 from repro.errors import ExperimentError
+from repro.model.batch import simulate_many
 from repro.model.results import RunResult
 from repro.model.simulator import simulate_scenario
 
-__all__ = ["TwoApplicationExperiment"]
+__all__ = ["TwoApplicationExperiment", "run_sweeps"]
 
 
 class TwoApplicationExperiment:
@@ -66,9 +76,11 @@ class TwoApplicationExperiment:
     def baseline(self, force: bool = False) -> RunResult:
         """Interference-free run of the first application (cached)."""
         if self._alone_result is None or force:
-            alone = self.scenario.with_applications(self.scenario.applications[:1])
-            self._alone_result = simulate_scenario(alone, seed=self._seed)
+            self._alone_result = simulate_scenario(self._alone_scenario(), seed=self._seed)
         return self._alone_result
+
+    def _alone_scenario(self) -> ScenarioConfig:
+        return self.scenario.with_applications(self.scenario.applications[:1])
 
     def alone_time(self) -> float:
         """Interference-free write time of one application."""
@@ -138,3 +150,48 @@ class TwoApplicationExperiment:
     def describe(self) -> str:
         """Multi-line description of the experiment configuration."""
         return self.scenario.describe()
+
+
+def run_sweeps(
+    experiments: Sequence[TwoApplicationExperiment],
+    n_points: int = 9,
+    labels: Optional[Sequence[str]] = None,
+) -> List[DeltaSweep]:
+    """Run the default Δ-graph sweep of every experiment, batched.
+
+    Equivalent to ``[e.run_sweep(n_points=n_points, label=l) for e, l in
+    zip(experiments, labels)]`` — the sweeps are identical — but simulated
+    in two :func:`~repro.model.batch.simulate_many` calls: stage 1 runs
+    every baseline not yet simulated (the delays depend on it), stage 2
+    every experiment's :meth:`~TwoApplicationExperiment.pick_deltas`
+    points.  Experiments that share a deployment advance together in the
+    batched kernel.
+    """
+    experiments = list(experiments)
+    labels = list(labels) if labels is not None else [""] * len(experiments)
+    if len(labels) != len(experiments):
+        raise ExperimentError("run_sweeps needs one label per experiment")
+
+    pending = list({
+        id(e): e for e in experiments if e._alone_result is None
+    }.values())
+    baselines = simulate_many(
+        [e._alone_scenario() for e in pending], [e._seed for e in pending]
+    )
+    for experiment, result in zip(pending, baselines):
+        experiment._alone_result = result
+
+    plans = [(e, e.pick_deltas(n_points=n_points)) for e in experiments]
+    runs = [e.scenario.with_delay(float(d)) for e, deltas in plans for d in deltas]
+    seeds = [e._seed for e, deltas in plans for _ in deltas]
+    results = simulate_many(runs, seeds)
+    sweeps = []
+    offset = 0
+    for (experiment, deltas), label in zip(plans, labels):
+        points = results[offset:offset + len(deltas)]
+        offset += len(deltas)
+        sweeps.append(assemble_sweep(
+            experiment.scenario, deltas, points, experiment.baseline(),
+            label,
+        ))
+    return sweeps

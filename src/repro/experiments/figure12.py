@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.experiments.base import ExperimentResult
 
 __all__ = ["run"]
@@ -41,17 +41,25 @@ def run(
         title="Appearance of Incast as the number of clients grows",
         paper_reference="Figure 12",
     )
-    rows = []
-    for procs in values:
-        exp = TwoApplicationExperiment(
+    experiments = [
+        TwoApplicationExperiment(
             scale,
             device="hdd",
             sync_mode="sync-on",
             pattern="contiguous",
             procs_per_node=procs,
         )
-        total_clients = sum(app.n_processes for app in exp.scenario.applications)
-        sweep = exp.run_sweep(n_points=points, label=f"{total_clients} clients")
+        for procs in values
+    ]
+    clients = [
+        sum(app.n_processes for app in exp.scenario.applications)
+        for exp in experiments
+    ]
+    sweeps = run_sweeps(
+        experiments, n_points=points, labels=[f"{n} clients" for n in clients]
+    )
+    rows = []
+    for procs, exp, total_clients, sweep in zip(values, experiments, clients, sweeps):
         result.add_sweep(f"clients_{total_clients}", sweep)
         rows.append(
             {

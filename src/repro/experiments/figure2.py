@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config.filesystem import SyncMode
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.experiments.base import ExperimentResult
 
 __all__ = ["run"]
@@ -38,40 +38,39 @@ def run(
         title="Contiguous pattern: influence of the backend device",
         paper_reference="Figure 2 (a)-(d)",
     )
-    summary_rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for device in devices:
-            exp = TwoApplicationExperiment(
-                scale, device=device, sync_mode=sync, pattern="contiguous"
-            )
-            sweep = exp.run_sweep(n_points=points, label=f"{device}/{sync.value}")
-            name = f"{device}.{sync.value}"
-            result.add_sweep(name, sweep)
-            summary_rows.append(
-                {
-                    "device": device,
-                    "sync": sync.label,
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                    "asymmetry": round(sweep.asymmetry_index(), 3),
-                    "collapses": sweep.total_collapses(),
-                }
-            )
+    # (sweep name, device column, sync column, experiment, sweep label)
+    configs = [
+        (f"{device}.{sync.value}", device, sync.label,
+         TwoApplicationExperiment(
+             scale, device=device, sync_mode=sync, pattern="contiguous"
+         ),
+         f"{device}/{sync.value}")
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for device in devices
+    ]
     # The null-aio method only makes sense with sync OFF semantics.
-    exp = TwoApplicationExperiment(scale, device="hdd", sync_mode=SyncMode.NULL_AIO,
-                                   pattern="contiguous")
-    sweep = exp.run_sweep(n_points=points, label="null-aio")
-    result.add_sweep("null-aio", sweep)
-    summary_rows.append(
-        {
-            "device": "null-aio",
-            "sync": "Null-aio",
-            "alone_s": round(exp.alone_time(), 2),
-            "peak_IF": round(sweep.peak_interference_factor(), 2),
-            "asymmetry": round(sweep.asymmetry_index(), 3),
-            "collapses": sweep.total_collapses(),
-        }
+    configs.append((
+        "null-aio", "null-aio", "Null-aio",
+        TwoApplicationExperiment(scale, device="hdd", sync_mode=SyncMode.NULL_AIO,
+                                 pattern="contiguous"),
+        "null-aio",
+    ))
+    sweeps = run_sweeps(
+        [c[3] for c in configs], n_points=points, labels=[c[4] for c in configs]
     )
+    summary_rows = []
+    for (name, device, sync_label, exp, _), sweep in zip(configs, sweeps):
+        result.add_sweep(name, sweep)
+        summary_rows.append(
+            {
+                "device": device,
+                "sync": sync_label,
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+                "asymmetry": round(sweep.asymmetry_index(), 3),
+                "collapses": sweep.total_collapses(),
+            }
+        )
     result.add_table("figure2_summary", summary_rows)
     result.add_note(
         "Expected shape: every real backend peaks near a 2x slowdown; the "

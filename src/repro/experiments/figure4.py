@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.core.scenarios import dedicated_writer_scenario
 from repro.experiments.base import ExperimentResult
 
@@ -33,13 +33,14 @@ def run(
 
     base = TwoApplicationExperiment(scale, device="hdd", sync_mode="sync-on",
                                     pattern="contiguous")
-    sweep_all = base.run_sweep(n_points=points, label="all cores write")
-    result.add_sweep("all_cores", sweep_all)
-
     dedicated = TwoApplicationExperiment(
         scenario=dedicated_writer_scenario(base.scenario)
     )
-    sweep_one = dedicated.run_sweep(n_points=points, label="1 writer per node")
+    sweep_all, sweep_one = run_sweeps(
+        [base, dedicated], n_points=points,
+        labels=["all cores write", "1 writer per node"],
+    )
+    result.add_sweep("all_cores", sweep_all)
     result.add_sweep("one_writer_per_node", sweep_one)
 
     rows = [

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config.filesystem import SyncMode
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.experiments.base import ExperimentResult
 
 __all__ = ["run"]
@@ -31,27 +31,34 @@ def run(
         title="Influence of the network bandwidth (10G vs 1G Ethernet)",
         paper_reference="Figure 5 (a)-(b)",
     )
+    configs = [
+        (sync, network, TwoApplicationExperiment(
+            scale, device="hdd", sync_mode=sync, pattern="contiguous", network=network
+        ))
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for network in ("10g", "1g")
+    ]
+    sweeps = run_sweeps(
+        [exp for _, _, exp in configs],
+        n_points=points,
+        labels=[f"{network}/{sync.value}" for sync, network, _ in configs],
+    )
     rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for network in ("10g", "1g"):
-            exp = TwoApplicationExperiment(
-                scale, device="hdd", sync_mode=sync, pattern="contiguous", network=network
-            )
-            sweep = exp.run_sweep(n_points=points, label=f"{network}/{sync.value}")
-            result.add_sweep(f"{network}.{sync.value}", sweep)
-            rows.append(
-                {
-                    "network": network,
-                    "sync": sync.label,
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_write_time_s": round(float(max(
-                        sweep.write_times(app).max() for app in sweep.applications
-                    )), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                    "asymmetry": round(sweep.asymmetry_index(), 3),
-                    "flat": sweep.is_flat(0.35),
-                }
-            )
+    for (sync, network, exp), sweep in zip(configs, sweeps):
+        result.add_sweep(f"{network}.{sync.value}", sweep)
+        rows.append(
+            {
+                "network": network,
+                "sync": sync.label,
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_write_time_s": round(float(max(
+                    sweep.write_times(app).max() for app in sweep.applications
+                )), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+                "asymmetry": round(sweep.asymmetry_index(), 3),
+                "flat": sweep.is_flat(0.35),
+            }
+        )
     result.add_table("figure5_summary", rows)
     result.add_note(
         "Expected shape: with sync ON the peak write times of 10G and 1G are "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro import units
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.experiments.base import ExperimentResult
 
 __all__ = ["run", "PAPER_TABLE2"]
@@ -37,8 +37,7 @@ def run(
         title="Influence of the number of storage servers",
         paper_reference="Figure 6 (a)-(b) and Table II",
     )
-    scaling_rows = []
-    table2_rows = []
+    experiments = []
     for n_servers in counts:
         # The paper reduces the per-client volume on the smallest deployment
         # because of its lower capacity; mirror that.
@@ -48,7 +47,7 @@ def run(
         nodes = None
         if scale == "reduced" and n_servers >= 24:
             nodes = 24
-        exp = TwoApplicationExperiment(
+        experiments.append(TwoApplicationExperiment(
             scale,
             device="hdd",
             sync_mode="sync-off",
@@ -56,8 +55,13 @@ def run(
             n_servers=n_servers,
             bytes_per_process=volume,
             nodes_per_app=nodes,
-        )
-        sweep = exp.run_sweep(n_points=points, label=f"{n_servers} servers")
+        ))
+    sweeps = run_sweeps(
+        experiments, n_points=points, labels=[f"{n} servers" for n in counts]
+    )
+    scaling_rows = []
+    table2_rows = []
+    for n_servers, exp, sweep in zip(counts, experiments, sweeps):
         result.add_sweep(f"servers_{n_servers}", sweep)
 
         first = exp.scenario.applications[0].name

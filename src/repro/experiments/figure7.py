@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.core.scenarios import partitioned_servers_scenario
 from repro.experiments.base import ExperimentResult
 
@@ -31,18 +31,25 @@ def run(
         title="Influence of the targeted storage servers (12 shared vs 6+6)",
         paper_reference="Figure 7 (a)-(b)",
     )
-    rows = []
+    pairs = []
     for device in devices:
         shared = TwoApplicationExperiment(
             scale, device=device, sync_mode="sync-on", pattern="contiguous"
         )
-        shared_sweep = shared.run_sweep(n_points=points, label=f"{device}/shared")
-        result.add_sweep(f"{device}.shared", shared_sweep)
-
         partitioned = TwoApplicationExperiment(
             scenario=partitioned_servers_scenario(shared.scenario)
         )
-        part_sweep = partitioned.run_sweep(n_points=points, label=f"{device}/partitioned")
+        pairs.append((device, shared, partitioned))
+    sweeps = run_sweeps(
+        [exp for _, shared, part in pairs for exp in (shared, part)],
+        n_points=points,
+        labels=[f"{device}/{kind}" for device, _, _ in pairs
+                for kind in ("shared", "partitioned")],
+    )
+    rows = []
+    for k, (device, shared, partitioned) in enumerate(pairs):
+        shared_sweep, part_sweep = sweeps[2 * k], sweeps[2 * k + 1]
+        result.add_sweep(f"{device}.shared", shared_sweep)
         result.add_sweep(f"{device}.partitioned", part_sweep)
 
         shared_peak_time = float(

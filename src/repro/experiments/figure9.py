@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro import units
 from repro.config.filesystem import SyncMode
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.experiments.base import ExperimentResult
 from repro.pfs.striping import servers_touched
 
@@ -41,35 +41,40 @@ def run(
         title="Influence of the request size (strided pattern)",
         paper_reference="Figure 9 (a)-(b)",
     )
+    configs = [
+        (sync, request, TwoApplicationExperiment(
+            scale,
+            device="hdd",
+            sync_mode=sync,
+            pattern="strided",
+            request_size=request,
+            stripe_size=stripe,
+        ))
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for request in sizes
+    ]
+    sweeps = run_sweeps(
+        [exp for _, _, exp in configs],
+        n_points=points,
+        labels=[f"request {units.bytes_to_human(request)}/{sync.value}"
+                for sync, request, _ in configs],
+    )
     rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for request in sizes:
-            exp = TwoApplicationExperiment(
-                scale,
-                device="hdd",
-                sync_mode=sync,
-                pattern="strided",
-                request_size=request,
-                stripe_size=stripe,
-            )
-            sweep = exp.run_sweep(
-                n_points=points,
-                label=f"request {units.bytes_to_human(request)}/{sync.value}",
-            )
-            key = f"request_{int(request // units.KiB)}k.{sync.value}"
-            result.add_sweep(key, sweep)
-            rows.append(
-                {
-                    "sync": sync.label,
-                    "request": units.bytes_to_human(request),
-                    "servers_per_request": len(
-                        servers_touched(0.0, request, stripe,
-                                        exp.scenario.filesystem.all_servers)
-                    ),
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                }
-            )
+    for (sync, request, exp), sweep in zip(configs, sweeps):
+        key = f"request_{int(request // units.KiB)}k.{sync.value}"
+        result.add_sweep(key, sweep)
+        rows.append(
+            {
+                "sync": sync.label,
+                "request": units.bytes_to_human(request),
+                "servers_per_request": len(
+                    servers_touched(0.0, request, stripe,
+                                    exp.scenario.filesystem.all_servers)
+                ),
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+            }
+        )
     result.add_table("figure9_summary", rows)
     result.add_note(
         "Expected shape: small requests involve fewer servers and show less "

@@ -84,11 +84,13 @@ class MitigationOutcome:
 
 
 def _sweep(scenario: ScenarioConfig, deltas: Optional[Sequence[float]]) -> DeltaSweep:
+    if deltas is not None:
+        # The baseline runs batched with the points.
+        return run_delta_sweep(scenario, deltas)
     alone = scenario.with_applications(scenario.applications[:1])
     alone_result = simulate_scenario(alone)
     first = scenario.applications[0].name
-    if deltas is None:
-        deltas = default_deltas(alone_result.write_time(first), n_points=5)
+    deltas = default_deltas(alone_result.write_time(first), n_points=5)
     return run_delta_sweep(scenario, deltas, alone_result=alone_result)
 
 

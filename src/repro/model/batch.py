@@ -1,20 +1,24 @@
-"""Batched lockstep stepping: advance B same-shape simulations per NumPy call.
+"""Batched lockstep stepping: advance B simulations of one deployment per NumPy call.
 
 The scalar kernel (:mod:`repro.model.stepper`) is dispatch-bound at small
 scale: each phase is a handful of vectorized ops over a few hundred elements,
 so Python/NumPy call overhead dominates the step.  Every campaign this repo
-runs (interference matrices, parameter grids, seed replications) is
-embarrassingly many *independent* simulations of the same deployment shape,
-which makes the batch axis free: concatenate the per-connection, per-server
-and per-node state of B member simulations into flat arrays and run the same
-seven phases once per step over ``B * N`` elements.
+runs (Δ-graph sweeps, interference matrices, parameter grids, seed
+replications) is embarrassingly many *independent* simulations of the same
+deployment, which makes the batch axis free: concatenate the per-connection,
+per-server and per-node state of B member simulations into flat arrays and
+run the same seven phases once per step over ``B * N`` elements.
 
 Exactness
 ---------
 The batched kernel is bit-for-bit identical to running every member alone,
 by construction rather than by tolerance:
 
-* every elementwise ufunc is trivially independent per lane;
+* every elementwise ufunc is trivially independent per lane — including the
+  ones that read the step's time and length, which arrive as per-lane
+  arrays holding each member's own ``now`` and ``dt`` (the dt-scaled
+  node/NIC caps, the stall test, ``potential * dt``, the drain budget,
+  window dynamics and link accounting);
 * ``bincount`` accumulates per bin in input order, and each member's
   connections occupy a contiguous flat range in their original relative
   order, so per-bin partial-sum order is unchanged;
@@ -24,47 +28,60 @@ by construction rather than by tolerance:
   driven by *other* members' rows are exact no-ops;
 * RNG draw order is preserved per member: the burst-escape gate draws from
   each member's own admission stream, and ``WindowState.update`` receives
-  ``rng_sites`` so hazard draws and collapse jitter come from each member's
-  own transport stream, gated and sized exactly as a member-alone run;
+  ``rng_sites`` so hazard draws (with the paced-timeout probability of the
+  member's own ``dt``) and collapse jitter come from each member's own
+  transport stream, gated and sized exactly as a member-alone run;
+* member-local scalar work — backend commits, observed link time, forced
+  timeouts, trace marks, completion handling — runs per member with that
+  member's own scalar ``now``/``dt``;
 * a finished member steps on as an exact no-op (zero outstanding bytes means
   zero offers, zero admissions, no window motion — the post-step invariant
   ``starved_time < rto`` rules out late timeouts), so no per-lane masking is
-  needed; only member-local scalars (observed time, pressure step counts,
-  backend commits, completion handling) are gated on liveness.
+  needed; its clock simply stops, and the member-local work above skips it.
 
 Driver
 ------
 Each member keeps its own discrete-event engine for the control plane
 (application starts, operation issues, trace sampling) — those are exact
 scalar code paths on member-local state.  A periodic NORMAL-priority marker
-event (the same ``schedule_periodic`` arithmetic the scalar driver uses)
-stops each engine at every step boundary; the batched kernel then advances
-all members at once and the engines resume.  Event ordering within a step
-instant (CONTROL < NORMAL < OBSERVE) is therefore identical to the scalar
-run, including trace samples observing post-step state.
+event (the same ``schedule_periodic`` arithmetic the scalar simulator uses,
+with the member's own step and start anchor) stops each engine at every one
+of its step boundaries.  Members therefore advance in *step-index*
+lockstep: the batch loop runs every live engine to its own next marker, the
+batched kernel advances all of them at once, each at its own time, and the
+engines resume.
+Event ordering within a step instant (CONTROL < NORMAL < OBSERVE) is
+identical to the scalar run, including trace samples observing post-step
+state.  Members with different step lengths, start anchors (a negative Δ
+starts a run before zero) or horizons share one bucket; a member that
+finishes leaves the live set and costs only its idle lanes.
 
 Bucketing
 ---------
-:func:`plan_buckets` groups scenarios that can share a flat state: same
-resolved step, start time and horizon, and the same platform/filesystem
-configuration.  Connection counts and per-server group sizes are free to
-differ — the admission water-filling pads ragged groups into width classes
-(:class:`~repro.network.incast.ServerBuffers`), so mixed deployments batch
-together and ``batch.padded_slots`` accounts the masked waste.  Only
-adaptive stepping (no fixed lockstep cadence) and buckets smaller than
-``min_batch`` fall back to the scalar kernel.  :func:`simulate_many` is the
-front end: it plans, runs each bucket batched, runs the fallbacks scalar,
-and emits ``batch.*`` telemetry.
+:func:`plan_buckets` groups scenarios that can share a flat state: the same
+platform and filesystem configuration (they fix the stepper's cached
+constants).  Cadence is per member, and connection counts and per-server
+group sizes are free to differ — the admission water-filling pads ragged
+groups into width classes (:class:`~repro.network.incast.ServerBuffers`),
+so mixed deployments batch together and ``batch.padded_slots`` accounts the
+masked waste.  Only adaptive stepping (no fixed step sequence) and buckets
+smaller than ``min_batch`` fall back to the scalar kernel.
+:func:`simulate_many` is the front end: it plans, runs each bucket through
+:func:`run_bucket`, runs the fallbacks through
+:func:`~repro.model.simulator.simulate_scenario`, and emits ``batch.*``
+telemetry.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.config.filesystem import FileSystemConfig
+from repro.config.platform import PlatformConfig
 from repro.config.scenario import ScenarioConfig
 from repro.errors import SimulationError
 from repro.model.results import RunResult
@@ -82,6 +99,7 @@ __all__ = [
     "BatchSimulator",
     "BatchedStepper",
     "BucketShape",
+    "cadence_of",
     "count_fallback",
     "plan_buckets",
     "run_bucket",
@@ -104,85 +122,73 @@ _BUFFER_SERVER_ARRAYS = ("fill", "total_admitted", "total_drained")
 
 @dataclass(frozen=True)
 class BucketShape:
-    """The lockstep cadence a batch bucket shares.
+    """The deployment a batch bucket's members share.
 
-    ``dt`` and ``t0`` pin the cadence; members with different resolved steps
-    or start anchors cannot share marker events.  ``n_servers`` and
-    ``n_client_nodes`` are informational (the platform/filesystem equality
-    check in :func:`_compatible` already pins them); connection counts and
-    per-server group sizes are deliberately absent — ragged and mixed-width
-    members pad into one bucket.
+    Members of one bucket run on equal platform and filesystem
+    configurations (frozen dataclasses; they feed the stepper's cached
+    constants).  Everything else is per member: step length, start anchor
+    and horizon (members advance in step-index lockstep, each on its own
+    clock), seeds, workloads, trace configs, connection counts and
+    per-server group sizes (ragged and mixed-width members pad into one
+    bucket).
     """
 
-    n_servers: int
-    n_client_nodes: int
-    dt: float
-    t0: float
-    max_time: float
+    platform: PlatformConfig
+    filesystem: FileSystemConfig
+
+    @property
+    def n_servers(self) -> int:
+        return self.filesystem.n_servers
 
 
 @dataclass
 class _Bucket:
     shape: BucketShape
-    reference: ScenarioConfig
     indices: List[int] = field(default_factory=list)
 
 
 def _shape_of(scenario: ScenarioConfig) -> Optional[BucketShape]:
     """Deployment shape of ``scenario``, or ``None`` when it cannot batch
-    (adaptive stepping has no fixed lockstep cadence)."""
-    control = scenario.control
-    if control.resolve_stepping().is_adaptive:
+    (adaptive stepping has no fixed step sequence)."""
+    if scenario.control.resolve_stepping().is_adaptive:
         return None
-    dt = control.resolve_step(scenario.estimate_duration())
-    t0 = min(0.0, min(app.start_time for app in scenario.applications))
-    return BucketShape(
-        n_servers=scenario.filesystem.n_servers,
-        n_client_nodes=scenario.platform.n_client_nodes,
-        dt=float(dt),
-        t0=float(t0),
-        max_time=float(control.max_time),
-    )
+    return BucketShape(platform=scenario.platform, filesystem=scenario.filesystem)
 
 
-def _compatible(reference: ScenarioConfig, scenario: ScenarioConfig) -> bool:
-    """True when two same-shape scenarios can share one flat batch state.
+def cadence_of(scenario: ScenarioConfig) -> Tuple[float, float]:
+    """``(dt, t0)``: a fixed-step scenario's step length and start anchor.
 
-    Platform and filesystem configs (frozen dataclasses) must compare equal —
-    they feed the stepper's cached constants.  Seeds, workloads and trace
-    configs are member-local and free to differ.
+    The same arithmetic :class:`~repro.model.simulator.IOPathSimulator` uses
+    (the anchor is the earliest application start, or zero).
     """
-    return (
-        scenario.platform == reference.platform
-        and scenario.filesystem == reference.filesystem
-    )
+    dt = scenario.control.resolve_step(scenario.estimate_duration())
+    return dt, _start_anchor(scenario)
+
+
+def _start_anchor(scenario: ScenarioConfig) -> float:
+    return min(0.0, min(app.start_time for app in scenario.applications))
 
 
 def plan_buckets(
     scenarios: Sequence[ScenarioConfig], *, min_batch: int = 2
 ) -> Tuple[List[_Bucket], List[Tuple[int, str]]]:
-    """Group ``scenarios`` into batchable buckets.
+    """Group ``scenarios`` into batchable buckets, in first-seen order.
 
     Returns ``(buckets, fallback)`` where every input index appears in
     exactly one bucket's ``indices`` or once in ``fallback`` as an
     ``(index, reason)`` pair with reason ``"adaptive"`` or ``"singleton"``
     (bucket smaller than ``min_batch``).
     """
-    buckets: List[_Bucket] = []
+    by_shape: Dict[BucketShape, _Bucket] = {}
     fallback: List[Tuple[int, str]] = []
     for i, scenario in enumerate(scenarios):
         shape = _shape_of(scenario)
         if shape is None:
             fallback.append((i, "adaptive"))
             continue
-        for bucket in buckets:
-            if bucket.shape == shape and _compatible(bucket.reference, scenario):
-                bucket.indices.append(i)
-                break
-        else:
-            buckets.append(_Bucket(shape=shape, reference=scenario, indices=[i]))
+        by_shape.setdefault(shape, _Bucket(shape=shape)).indices.append(i)
     full: List[_Bucket] = []
-    for bucket in buckets:
+    for bucket in by_shape.values():
         if len(bucket.indices) >= max(min_batch, 1):
             full.append(bucket)
         else:
@@ -198,18 +204,30 @@ def plan_buckets(
 
 @dataclass
 class _BatchMember:
-    """One member simulation and its lanes in the flat state."""
+    """One member simulation, its lanes in the flat state and its cadence."""
 
+    index: int
     sim: IOPathSimulator
     engine: Simulator
     conn_sl: slice
     srv_sl: slice
     node_sl: slice
+    dt: float
     until: float
     admission_rng: np.random.Generator
     live: bool = True
     n_steps: int = 0
     end_time: float = float("nan")
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """One per-member value expanded onto the connection, server and node
+    lanes (built once per bucket)."""
+
+    conn: np.ndarray
+    srv: np.ndarray
+    node: np.ndarray
 
 
 class _BatchedTopology:
@@ -244,9 +262,8 @@ class _BatchedTopology:
     def server_capacities(self) -> np.ndarray:
         return self._server_capacity.copy()
 
-    def record_step_flat(
-        self, per_node: np.ndarray, per_server: np.ndarray, dt: float
-    ) -> None:
+    def record_step_flat(self, per_node: np.ndarray, per_server: np.ndarray,
+                         dt: _Lanes) -> None:
         """The two `_record_group` updates of ``StarTopology.record_step``.
 
         Validation is skipped (the batched kernel feeds its own bincounts)
@@ -255,11 +272,11 @@ class _BatchedTopology:
         """
         StarTopology._record_group(
             per_node, self._node_capacity, self.node_transferred,
-            self.node_busy, self._scratch_node, self._scratch_node2, dt,
+            self.node_busy, self._scratch_node, self._scratch_node2, dt.node,
         )
         StarTopology._record_group(
             per_server, self._server_capacity, self.server_transferred,
-            self.server_busy, self._scratch_server, self._scratch_server2, dt,
+            self.server_busy, self._scratch_server, self._scratch_server2, dt.srv,
         )
 
 
@@ -272,33 +289,33 @@ class _BatchedDeployment:
     harmless, since their connections offer zero bytes.
     """
 
-    def __init__(self, members: Sequence[_BatchMember], n_servers: int) -> None:
-        self._members = members
+    def __init__(self, live: List[_BatchMember], n_servers: int) -> None:
+        self._live = live
         self._rates = np.zeros(n_servers, dtype=np.float64)
 
     def drain_rates(self, n_streams: np.ndarray, avg_frag: np.ndarray) -> np.ndarray:
         rates = self._rates
-        for member in self._members:
-            if member.live:
-                sl = member.srv_sl
-                rates[sl] = member.sim.state.deployment.drain_rates(
-                    n_streams[sl], avg_frag[sl]
-                )
+        for member in self._live:
+            sl = member.srv_sl
+            rates[sl] = member.sim.state.deployment.drain_rates(
+                n_streams[sl], avg_frag[sl]
+            )
         return rates
 
     def commit(
         self,
         drained: np.ndarray,
-        dt: float,
+        dt: np.ndarray,
         n_streams: np.ndarray,
         avg_frag: np.ndarray,
     ) -> None:
-        for member in self._members:
-            if member.live:
-                sl = member.srv_sl
-                member.sim.state.deployment.commit(
-                    drained[sl], dt, n_streams[sl], avg_frag[sl]
-                )
+        """Commit each live member's server lanes with its own scalar step
+        length (``dt`` holds the same values expanded per server lane)."""
+        for member in self._live:
+            sl = member.srv_sl
+            member.sim.state.deployment.commit(
+                drained[sl], member.dt, n_streams[sl], avg_frag[sl]
+            )
 
 
 class _BatchedState:
@@ -318,8 +335,7 @@ class _BatchedState:
         conn_server: np.ndarray,
         conn_node: np.ndarray,
     ) -> None:
-        reference = members[0].sim
-        scenario = reference.scenario
+        scenario = members[0].sim.scenario
         self.scenario = scenario
         #: Dummy stream source: the batched kernel never draws from it (the
         #: burst-escape gate override draws from each member's own streams).
@@ -363,21 +379,43 @@ class BatchedStepper(ModelStepper):
     """The seven-phase kernel over the flat batch state.
 
     Inherits the data-plane phases unchanged (they are pure array code over
-    the facade state) and overrides the four places that touch RNG streams or
+    the facade state, reading the step's time and length from per-lane
+    arrays) and overrides the four places that touch RNG streams or
     member-local bookkeeping: the burst-escape gate, window dynamics,
     accounting, and completion.
+
+    ``dt`` is every member's step length expanded per connection, server
+    and node lane; it is fixed for the bucket's lifetime, so the dt-scaled
+    node/NIC caps are computed once here.  ``live`` is the batch loop's list of
+    unfinished members, which every member-local loop walks.
     """
 
-    def __init__(self, state: _BatchedState, members: Sequence[_BatchMember]) -> None:
+    def __init__(self, state: _BatchedState, live: List[_BatchMember],
+                 dt: _Lanes, conn_member: np.ndarray) -> None:
         super().__init__(state)  # type: ignore[arg-type]
-        self._members = list(members)
-        #: Per-member RNG sites for WindowState.update: hazard draws and
-        #: collapse jitter come from each member's own transport stream,
-        #: sliced to its lanes.  Dead members never have candidates (their
-        #: connections are inactive and their post-step starvation clocks
-        #: sit below the RTO), so the site list can stay static.
+        self._live = live
+        self._dt = dt
+        self._conn_member = conn_member
+        np.multiply(self._node_caps, dt.node, out=self._node_caps_dt)
+        np.multiply(self._server_nic, dt.srv, out=self._server_nic_dt)
+        self._ctx = StepContext(
+            now=np.zeros(state.n_connections, dtype=np.float64),
+            dt=dt.conn,
+            dt_server=dt.srv,
+        )
+        self.retire()
+
+    def retire(self) -> None:
+        """Re-derive the per-member RNG sites after the live set changed.
+
+        Hazard draws and collapse jitter come from each member's own
+        transport stream, sliced to its lanes, with its own step length.
+        Dead members never have candidates (their connections are inactive
+        and their post-step starvation clocks sit below the RTO), so their
+        sites can go.
+        """
         self._rng_sites = tuple(
-            (m.conn_sl, m.sim.state.windows._rng) for m in self._members
+            (m.conn_sl, m.sim.state.windows._rng, m.dt) for m in self._live
         )
 
     # -- phase overrides ------------------------------------------------ #
@@ -394,7 +432,7 @@ class BatchedStepper(ModelStepper):
         if not ws.tmp_bool_a.any():
             return
         ever_paced = self.state.windows.ever_paced
-        for member in self._members:
+        for member in self._live:
             sl = member.conn_sl
             gated = ws.tmp_bool_a[sl]
             if not gated.any():
@@ -411,13 +449,14 @@ class BatchedStepper(ModelStepper):
             if failed.any():
                 local_idx = np.flatnonzero(failed)
                 mstate = member.sim.state
-                mstate.windows.force_timeout(local_idx, ctx.now)
+                now = member.engine.now
+                mstate.windows.force_timeout(local_idx, now)
                 ws.desired[sl][local_idx] = 0.0
                 mstate.collapses_per_app += np.bincount(
                     mstate.conn_app[local_idx], minlength=mstate.n_apps
                 )
                 mstate.recorder.mark(
-                    ctx.now, "incast", "burst-loss",
+                    now, "incast", "burst-loss",
                     data={"count": int(local_idx.size)},
                 )
 
@@ -438,7 +477,7 @@ class BatchedStepper(ModelStepper):
             # Collapsed indices are ascending, so each member's share is one
             # contiguous run; split it per member for the local statistics.
             idx = update.collapsed_indices
-            for member in self._members:
+            for member in self._live:
                 sl = member.conn_sl
                 a = int(np.searchsorted(idx, sl.start, side="left"))
                 b = int(np.searchsorted(idx, sl.stop, side="left"))
@@ -450,7 +489,7 @@ class BatchedStepper(ModelStepper):
                     mstate.conn_app[local_idx], minlength=mstate.n_apps
                 )
                 mstate.recorder.mark(
-                    ctx.now, "incast", "window-collapse",
+                    member.engine.now, "incast", "window-collapse",
                     data={"count": int(b - a)},
                 )
 
@@ -462,30 +501,29 @@ class BatchedStepper(ModelStepper):
         per_server = np.bincount(
             state.conn_server, weights=ctx.admitted, minlength=self._n_servers
         )
-        state.topology.record_step_flat(per_node, per_server, ctx.dt)
+        state.topology.record_step_flat(per_node, per_server, self._dt)
         # Observed time and pressure-step counts are member-local and stop
         # advancing at member finish, exactly like a scalar run ending.
-        for member in self._members:
-            if member.live:
-                member.sim.state.topology._observed_time += ctx.dt
-                member.sim.state.buffers.note_step()
-        np.divide(per_server, ctx.dt, out=state.last_admission_rate)
+        for member in self._live:
+            member.sim.state.topology._observed_time += member.dt
+            member.sim.state.buffers.note_step()
+        np.divide(per_server, self._dt.srv, out=state.last_admission_rate)
 
     def _phase_completion(self, sim: Optional[Simulator]) -> None:
-        for member in self._members:
-            if member.live:
-                member.sim.stepper._handle_completions(member.engine)
+        for member in self._live:
+            member.sim.stepper._handle_completions(member.engine)
 
     # -- the batched step ----------------------------------------------- #
 
-    def step_batch(self, now: float, dt: float) -> None:
-        """Advance every live member by ``dt`` at simulated time ``now``."""
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        self._refresh_dt(dt)
+    def step_batch(self, now: np.ndarray) -> None:
+        """Advance every live member by its own ``dt``.
+
+        ``now`` holds each member's clock (indexed like the members); the
+        kernel expands it onto the connection lanes.  Dead members' entries
+        are never read by anything that changes state.
+        """
         ctx = self._ctx
-        ctx.now = now
-        ctx.dt = dt
+        np.take(now, self._conn_member, out=ctx.now)
         profiler = self.profiler
         if profiler is None:
             self._phase_workload_mix(ctx)
@@ -517,61 +555,65 @@ class BatchedStepper(ModelStepper):
 # ---------------------------------------------------------------------- #
 
 
-class BatchSimulator:
-    """Runs B same-shape scenarios in one fixed-dt lockstep loop.
+def _expand(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """``values[k]`` repeated ``sizes[k]`` times, members in order."""
+    return np.repeat(values, np.asarray(sizes, dtype=np.int64))
 
+
+class BatchSimulator:
+    """Runs B fixed-step scenarios of one deployment in step-index lockstep.
+
+    ``seeds`` optionally overrides each member's master seed, exactly like
+    the ``seed`` argument of :func:`~repro.model.simulator.simulate_scenario`.
     Build from *fresh* scenarios only: member state is re-pointed at the flat
     arrays right after construction, before any event runs.
     """
 
-    def __init__(self, scenarios: Sequence[ScenarioConfig]) -> None:
+    def __init__(
+        self,
+        scenarios: Sequence[ScenarioConfig],
+        seeds: Optional[Sequence[Optional[int]]] = None,
+    ) -> None:
         if not scenarios:
             raise SimulationError("a batch needs at least one scenario")
-        sims = [IOPathSimulator(scenario) for scenario in scenarios]
-        reference = sims[0]
+        if seeds is None:
+            seeds = [None] * len(scenarios)
+        elif len(seeds) != len(scenarios):
+            raise SimulationError("a batch needs one seed per scenario")
+        sims = [IOPathSimulator(s, seed=seed) for s, seed in zip(scenarios, seeds)]
         if any(sim.stepping.is_adaptive for sim in sims):
             raise SimulationError("adaptive stepping cannot run batched")
-        self.dt = reference.step_size
-        scenario = reference.scenario
-        self._t0 = min(
-            0.0, min(app.start_time for app in scenario.applications)
-        )
-        self._max_time = scenario.control.max_time
-        transport = scenario.platform.network.transport
+        reference = sims[0].scenario
         for sim in sims:
-            s = sim.scenario
-            t0 = min(0.0, min(app.start_time for app in s.applications))
             if (
-                sim.step_size != self.dt
-                or t0 != self._t0
-                or s.control.max_time != self._max_time
-                or s.platform != scenario.platform
-                or s.filesystem != scenario.filesystem
+                sim.scenario.platform != reference.platform
+                or sim.scenario.filesystem != reference.filesystem
             ):
                 raise SimulationError(
-                    "batch members must share step size, start anchor and "
-                    "platform/filesystem configuration"
+                    "batch members must share their platform/filesystem "
+                    "configuration"
                 )
 
-        # Lanes.
+        # Lanes and per-member cadence.
         members: List[_BatchMember] = []
         conn_off = srv_off = node_off = 0
-        until = self._t0 + self._max_time
-        horizon = self._t0 + self._max_time * 2 + 1.0
-        for sim in sims:
+        for k, sim in enumerate(sims):
             st = sim.state
             n_c = st.n_connections
             n_s = st.n_servers
             n_n = st.topology.n_client_nodes
-            engine = Simulator(start_time=self._t0, horizon=horizon)
+            t0 = _start_anchor(sim.scenario)
+            max_time = sim.scenario.control.max_time
             members.append(
                 _BatchMember(
+                    index=k,
                     sim=sim,
-                    engine=engine,
+                    engine=Simulator(start_time=t0, horizon=t0 + max_time * 2 + 1.0),
                     conn_sl=slice(conn_off, conn_off + n_c),
                     srv_sl=slice(srv_off, srv_off + n_s),
                     node_sl=slice(node_off, node_off + n_n),
-                    until=until,
+                    dt=sim.step_size,
+                    until=t0 + max_time,
                     admission_rng=sim.stepper._rng,
                 )
             )
@@ -579,8 +621,22 @@ class BatchSimulator:
             srv_off += n_s
             node_off += n_n
         self.members = members
+        #: Unfinished members, in member order (shared with the stepper).
+        self.live: List[_BatchMember] = list(members)
+        #: Each member's clock at its current step boundary.
+        self._now = np.array(
+            [m.engine.now for m in members], dtype=np.float64
+        )
 
-        # Flat index maps and facade state.
+        # Flat index maps, per-lane cadence and facade state.
+        conn_sizes = [m.conn_sl.stop - m.conn_sl.start for m in members]
+        member_dt = np.array([m.dt for m in members], dtype=np.float64)
+        dt = _Lanes(
+            conn=_expand(member_dt, conn_sizes),
+            srv=_expand(member_dt, [m.srv_sl.stop - m.srv_sl.start for m in members]),
+            node=_expand(member_dt, [m.node_sl.stop - m.node_sl.start for m in members]),
+        )
+        conn_member = _expand(np.arange(len(members)), conn_sizes)
         conn_server = np.concatenate(
             [m.sim.state.conn_server + m.srv_sl.start for m in members]
         )
@@ -591,11 +647,11 @@ class BatchSimulator:
             np.concatenate([m.sim.state.topology.node_capacities() for m in members]),
             np.concatenate([m.sim.state.topology.server_capacities() for m in members]),
         )
-        deployment = _BatchedDeployment(members, srv_off)
+        deployment = _BatchedDeployment(self.live, srv_off)
         state = _BatchedState(members, topology, deployment, conn_server, conn_node)
         self.state = state
         self._repoint_members()
-        self.stepper = BatchedStepper(state, members)
+        self.stepper = BatchedStepper(state, self.live, dt, conn_member)
         self._schedule_control_plane()
         self.n_batch_steps = 0
 
@@ -631,16 +687,16 @@ class BatchSimulator:
         """Schedule each member's starts, step markers and trace sampling.
 
         The step marker is a periodic NORMAL event that merely stops the
-        member's engine at every step boundary; it uses the same
-        ``schedule_periodic`` arithmetic as the scalar driver's tick, so
-        marker times match the scalar step times bitwise.
+        member's engine at every one of its step boundaries; it uses the
+        same ``schedule_periodic`` arithmetic as the scalar simulator's tick
+        (member step, member start anchor), so marker times match the scalar
+        step times bitwise.
         """
-        dt = self.dt
-        t0 = self._t0
         for member in self.members:
             sim = member.sim
             engine = member.engine
             st = sim.state
+            t0 = engine.now
             for app in st.applications:
                 engine.schedule(
                     app.start_time,
@@ -649,9 +705,9 @@ class BatchSimulator:
                     label=f"start.{app.name}",
                 )
             engine.schedule_periodic(
-                dt,
+                member.dt,
                 _stop_for_batch_step,
-                start=t0 + dt,
+                start=t0 + member.dt,
                 priority=EventPriority.NORMAL,
                 label="model.step",
                 stop_when=_make_finished_probe(st),
@@ -670,41 +726,41 @@ class BatchSimulator:
     # ------------------------------------------------------------------ #
 
     def _advance_one_step(self) -> None:
-        now: Optional[float] = None
-        for member in self.members:
-            if not member.live:
-                continue
-            member.engine.run(until=member.until)
-            if member.engine.stop_reason != "batch-step":
+        now = self._now
+        for member in self.live:
+            engine = member.engine
+            engine.run(until=member.until)
+            if engine.stop_reason != "batch-step":
                 unfinished = [
                     rt.app.name
                     for rt in member.sim.state.app_runtime
                     if not rt.finished
                 ]
                 raise SimulationError(
-                    f"simulation reached max_time={self._max_time}s with "
+                    "simulation reached max_time="
+                    f"{member.sim.scenario.control.max_time}s with "
                     f"unfinished applications {unfinished}; check the "
                     "scenario configuration"
                 )
-            if now is None:
-                now = member.engine.now
-            elif member.engine.now != now:  # pragma: no cover - lockstep guard
-                raise SimulationError("batch members fell out of lockstep")
-        assert now is not None
-        self.stepper.step_batch(now, self.dt)
+            now[member.index] = engine.now
+        self.stepper.step_batch(now)
         self.n_batch_steps += 1
-        for member in self.members:
-            if not member.live:
-                continue
+        finished = False
+        for member in self.live:
             member.n_steps += 1
             if member.sim.state.all_finished():
                 member.live = False
-                member.end_time = now
+                member.end_time = member.engine.now
+                member.engine.clear()
+                finished = True
+        if finished:
+            self.live[:] = [m for m in self.live if m.live]
+            self.stepper.retire()
 
     def run(self) -> List[RunResult]:
         """Run every member to completion; results in member order."""
         wall_start = time.perf_counter()
-        while any(member.live for member in self.members):
+        while self.live:
             self._advance_one_step()
         wall_time = time.perf_counter() - wall_start
         results = []
@@ -731,9 +787,12 @@ def _make_finished_probe(state):
 
 
 def run_bucket(
-    scenarios: Sequence[ScenarioConfig], shape: Optional[BucketShape] = None
+    scenarios: Sequence[ScenarioConfig],
+    shape: Optional[BucketShape] = None,
+    *,
+    seeds: Optional[Sequence[Optional[int]]] = None,
 ) -> List[RunResult]:
-    """Run one same-cadence group through the batched kernel, with telemetry.
+    """Run one bucket through the batched kernel, with telemetry.
 
     Emits the per-bucket ``simulation``-track span (with synthetic ``phase``
     child spans and ``step.phase.*`` counters from the kernel profiler, like
@@ -743,14 +802,13 @@ def run_bucket(
     lives, shared by :func:`simulate_many` and the executor-level batchers.
     Observational only: the batch kernel never reads the profiler, so
     results stay byte-identical with telemetry on or off.  ``shape`` is
-    informational (span labelling); pool workers omit it.
+    informational (span labelling); pool workers omit it.  ``seeds``
+    overrides the members' master seeds (see :class:`BatchSimulator`).
     """
     from repro.perf.counters import StepProfiler
 
     telemetry = get_telemetry()
-    if shape is None:
-        shape = _shape_of(scenarios[0])
-    n_servers = shape.n_servers if shape is not None else 0
+    n_servers = scenarios[0].filesystem.n_servers if shape is None else shape.n_servers
     label = f"batch:b{len(scenarios)}x{n_servers}s"
     with telemetry.span(
         label,
@@ -759,7 +817,7 @@ def run_bucket(
         members=len(scenarios),
         n_servers=n_servers,
     ) as bucket_span:
-        batch = BatchSimulator(scenarios)
+        batch = BatchSimulator(scenarios, seeds)
         profiler = None
         if telemetry.enabled and batch.stepper.profiler is None:
             profiler = StepProfiler()
@@ -809,25 +867,39 @@ def count_fallback(reason: str) -> None:
 
 
 def simulate_many(
-    scenarios: Sequence[ScenarioConfig], *, min_batch: int = 2
+    scenarios: Sequence[ScenarioConfig],
+    seeds: Optional[Sequence[Optional[int]]] = None,
+    *,
+    min_batch: int = 2,
 ) -> List[RunResult]:
-    """Simulate ``scenarios``, batching same-shape groups in lockstep.
+    """Simulate ``scenarios``, batching those that share a deployment.
 
-    Results come back in input order and are bitwise identical to running
-    each scenario through :func:`~repro.model.simulator.simulate_scenario`
-    alone.  Adaptive/singleton scenarios take exactly that scalar path;
-    ragged and mixed-width deployments batch (padded width classes).  Emits
-    ``batch.*`` telemetry: one ``simulation``-track span plus an occupancy
-    observation per bucket, and fallback counters.
+    ``seeds`` optionally gives each scenario's seed override (``None``
+    entries keep the scenario's own seed).  Results come back in input
+    order and are bitwise identical to running each scenario through
+    :func:`~repro.model.simulator.simulate_scenario` alone with its seed.
+    Buckets run through :func:`run_bucket`; adaptive and singleton
+    scenarios take exactly that scalar path.  Both are called through this
+    module's bindings, so instrumentation that wraps them sees every
+    simulation.  Emits ``batch.*`` telemetry: one ``simulation``-track span
+    plus an occupancy observation per bucket, and fallback counters.
     """
     scenarios = list(scenarios)
+    if seeds is None:
+        seeds = [None] * len(scenarios)
+    elif len(seeds) != len(scenarios):
+        raise SimulationError("simulate_many needs one seed per scenario")
     buckets, fallback = plan_buckets(scenarios, min_batch=min_batch)
     results: List[Optional[RunResult]] = [None] * len(scenarios)
     for bucket in buckets:
-        outs = run_bucket([scenarios[i] for i in bucket.indices], bucket.shape)
+        outs = run_bucket(
+            [scenarios[i] for i in bucket.indices],
+            bucket.shape,
+            seeds=[seeds[i] for i in bucket.indices],
+        )
         for i, result in zip(bucket.indices, outs):
             results[i] = result
     for i, reason in fallback:
         count_fallback(reason)
-        results[i] = simulate_scenario(scenarios[i])
+        results[i] = simulate_scenario(scenarios[i], seed=seeds[i])
     return results  # type: ignore[return-value]

@@ -153,6 +153,7 @@ class IOPathSimulator:
         wall_start = time.perf_counter()
         end_time = sim.run(until=t0 + horizon)
         wall_time = time.perf_counter() - wall_start
+        sim.clear()
 
         if profiler is not None:
             try:

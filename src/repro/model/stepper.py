@@ -64,7 +64,8 @@ fixed policy never calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -91,9 +92,13 @@ class StepContext:
     which the buffers return); they are valid until the next step begins.
     """
 
-    #: Step inputs (owned by :meth:`ModelStepper.step`).
-    now: float
-    dt: float
+    #: Step inputs (owned by :meth:`ModelStepper.step`): the step's start
+    #: time and length on the connection lanes, and its length on the server
+    #: lanes.  Scalars here; the batched kernel, whose members advance on
+    #: their own clocks, passes one value per lane instead.
+    now: Union[float, np.ndarray]
+    dt: Union[float, np.ndarray]
+    dt_server: Union[float, np.ndarray, None] = None
 
     #: Phase 1 — workload mix.
     busy: Optional[np.ndarray] = None          #: per-conn: has outstanding bytes
@@ -111,6 +116,10 @@ class StepContext:
     #: Phase 4 — admission and drain.
     admitted: Optional[np.ndarray] = None      #: per-conn bytes admitted
     oversubscribed: Optional[np.ndarray] = None  #: per-conn: server oversubscribed
+
+    def __post_init__(self) -> None:
+        if self.dt_server is None:
+            self.dt_server = self.dt
 
 
 class StepWorkspace:
@@ -226,9 +235,6 @@ class ModelStepper:
         # Everything below is constant for the lifetime of the run (or, for
         # the dt-scaled arrays, per distinct dt); computing them here keeps
         # them out of the per-step path.
-        self.workspace = StepWorkspace(
-            state.n_connections, state.n_servers, state.topology.n_client_nodes
-        )
         self._n_servers = state.n_servers
         self._n_nodes = state.topology.n_client_nodes
         self._n_apps = state.n_apps
@@ -247,6 +253,15 @@ class ModelStepper:
         # owning phase each step, so recycling the container is safe.
         self._ctx = StepContext(now=0.0, dt=0.0)
 
+    @cached_property
+    def workspace(self) -> StepWorkspace:
+        """The step scratch, allocated on first use (a batch member's own
+        stepper never steps, so it never allocates one)."""
+        state = self.state
+        return StepWorkspace(
+            state.n_connections, state.n_servers, state.topology.n_client_nodes
+        )
+
     def _refresh_dt(self, dt: float) -> None:
         if dt != self._cached_dt:
             np.multiply(self._node_caps, dt, out=self._node_caps_dt)
@@ -264,7 +279,7 @@ class ModelStepper:
         self._refresh_dt(dt)
         ctx = self._ctx
         ctx.now = sim.now
-        ctx.dt = dt
+        ctx.dt = ctx.dt_server = dt
         profiler = self.profiler
         if profiler is None:
             self._phase_workload_mix(ctx)
@@ -538,7 +553,7 @@ class ModelStepper:
         """
         state = self.state
         ws = self.workspace
-        dt = ctx.dt
+        dt = ctx.dt_server
         np.multiply(ctx.drain_rate, dt, out=ws.tmp_srv_b)
         admitted, oversubscribed = state.buffers.admit(
             ctx.desired,

@@ -20,7 +20,8 @@ implements one update per simulation step:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,19 +97,20 @@ class WindowState:
         #: True for connections that have been paced at least once; they
         #: recover from a timeout much more easily than true newcomers.
         self.ever_paced = np.zeros(n, dtype=bool)
-        # Scratch buffers for update(); reused every step so the hot path
-        # allocates nothing.  They never leave this class.
-        self._fraction = np.empty(n, dtype=np.float64)
-        self._rtt = np.empty(n, dtype=np.float64)
-        self._cwnd_next = np.empty(n, dtype=np.float64)
-        self._starved_next = np.empty(n, dtype=np.float64)
-        self._draws = np.empty(n, dtype=np.float64)
         self._empty_indices = np.zeros(0, dtype=np.int64)
-        self._mask_active = np.empty(n, dtype=bool)
-        self._mask_a = np.empty(n, dtype=bool)
-        self._mask_b = np.empty(n, dtype=bool)
-        self._mask_c = np.empty(n, dtype=bool)
-        self._mask_d = np.empty(n, dtype=bool)
+
+    @cached_property
+    def _scratch(self) -> Tuple[np.ndarray, ...]:
+        """Scratch buffers for :meth:`update`, allocated on its first call.
+
+        Reused every step so the hot path allocates nothing; they never
+        leave this class.  A batch member whose state lives in a flat batch
+        array never updates its own windows and so never allocates them.
+        """
+        n = self.n_connections
+        floats = [np.empty(n, dtype=np.float64) for _ in range(5)]
+        masks = [np.empty(n, dtype=bool) for _ in range(5)]
+        return tuple(floats + masks)
 
     # ------------------------------------------------------------------ #
     # Queries used by the admission model
@@ -177,22 +179,28 @@ class WindowState:
 
     def update(
         self,
-        now: float,
-        dt: float,
+        now: Union[float, np.ndarray],
+        dt: Union[float, np.ndarray],
         requested: np.ndarray,
         admitted: np.ndarray,
         rtt_eff: np.ndarray,
         oversubscribed: np.ndarray,
         loss_prone: Optional[np.ndarray] = None,
         collect_stats: bool = True,
-        rng_sites: Optional[Sequence[Tuple[slice, np.random.Generator]]] = None,
+        rng_sites: Optional[
+            Sequence[Tuple[slice, np.random.Generator, float]]
+        ] = None,
     ) -> WindowUpdateResult:
         """Apply one step of window dynamics.
 
         Parameters
         ----------
         now, dt:
-            Current simulated time and step length.
+            Current simulated time and step length: scalars, or one value
+            per connection when the connections belong to simulations that
+            advance on different clocks (the batched kernel).  Every use is
+            elementwise, so a lane sees exactly the arithmetic a scalar run
+            with its own ``now``/``dt`` performs.
         requested:
             Bytes each connection tried to send this step (0 for idle or
             stalled connections).
@@ -221,32 +229,29 @@ class WindowState:
             ``n_increased``, ``stalled_fraction``) that only tracing and
             analysis consume; the window dynamics themselves are unchanged.
         rng_sites:
-            Random-draw ownership as ``(slice, generator)`` pairs covering
-            disjoint connection ranges.  The batched kernel passes one site
-            per batch member so each member consumes draws from *its own*
-            transport stream exactly as it would alone; the default single
-            site over all connections reproduces the scalar behaviour
-            bit-for-bit.  A site only draws when at least one of its
-            connections is a hazard candidate (resp. collapses), mirroring
-            the scalar short-circuit.
+            Random-draw ownership as ``(slice, generator, dt)`` triples
+            covering disjoint connection ranges.  The batched kernel passes
+            one site per batch member so each member consumes draws from *its
+            own* transport stream, with the paced-timeout probability of its
+            own step length, exactly as it would alone; the default single
+            site over all connections (``dt`` must then be a scalar)
+            reproduces the scalar behaviour bit-for-bit.  A site only draws
+            when at least one of its connections is a hazard candidate
+            (resp. collapses), mirroring the scalar short-circuit.
         """
         t = self.transport
         requested = np.asarray(requested, dtype=np.float64)
         admitted = np.asarray(admitted, dtype=np.float64)
-        rtt = self._rtt
+        (fraction, rtt, grown, starved, draws,
+         active, mask_a, mask_b, mask_c, mask_d) = self._scratch
         np.maximum(np.asarray(rtt_eff, dtype=np.float64), 1e-9, out=rtt)
         oversubscribed = np.asarray(oversubscribed, dtype=bool)
-        mask_a, mask_b, mask_c, mask_d = (
-            self._mask_a, self._mask_b, self._mask_c, self._mask_d,
-        )
 
-        active = self._mask_active
         np.greater(requested, 1e-9, out=active)
         if loss_prone is None:
             loss_prone = active
         else:
             loss_prone = np.asarray(loss_prone, dtype=bool)
-        fraction = self._fraction
         fraction.fill(1.0)
         np.divide(admitted, requested, out=fraction, where=active)
 
@@ -266,7 +271,6 @@ class WindowState:
         np.greater_equal(fraction, 0.9, out=mask_b)
         np.logical_and(active, mask_b, out=mask_b)  # good progress
         n_increased = int(mask_b.sum()) if collect_stats else 0
-        grown = self._cwnd_next
         np.divide(dt, rtt, out=grown)
         grown *= t.additive_increase_segments * t.mss
         np.add(self.cwnd, grown, out=grown)
@@ -284,7 +288,7 @@ class WindowState:
         np.logical_and(mask_a, mask_b, out=mask_b)
         np.logical_and(mask_b, oversubscribed, out=mask_b)  # throttled
         n_decreased = int(mask_b.sum()) if collect_stats else 0
-        shrunk = self._cwnd_next
+        shrunk = grown
         np.multiply(self.cwnd, t.multiplicative_decrease, out=shrunk)
         np.maximum(shrunk, t.window_min, out=shrunk)
         np.copyto(self.cwnd, shrunk, where=mask_b)
@@ -294,7 +298,6 @@ class WindowState:
         # was lost, while a source-paced trickle was merely delayed.
         np.less(fraction, t.starvation_fraction, out=mask_b)
         np.logical_and(mask_a, mask_b, out=mask_b)  # starving
-        starved = self._starved_next
         np.add(self.starved_time, dt, out=starved)
         np.copyto(self.starved_time, starved, where=mask_b)
         np.logical_not(mask_b, out=mask_c)
@@ -310,15 +313,16 @@ class WindowState:
         np.logical_and(mask_a, self.paced, out=mask_d)
         np.logical_and(mask_d, mask_c, out=mask_d)  # hazard candidates
         if rng_sites is None:
-            rng_sites = ((slice(None), self._rng),)
+            rng_sites = ((slice(None), self._rng, dt),)
         if t.paced_timeout_hazard > 0.0 and mask_d.any():
-            p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (dt / t.rto)
-            for site, rng in rng_sites:
+            for site, rng, site_dt in rng_sites:
                 if mask_d[site].any():
-                    rng.random(out=self._draws[site])
-            # Sites without candidates keep stale draws; the AND with
-            # mask_d below discards them, so only drawn sites matter.
-            np.less(self._draws, p_step, out=mask_c)
+                    p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (site_dt / t.rto)
+                    site_draws = draws[site]
+                    rng.random(out=site_draws)
+                    np.less(site_draws, p_step, out=mask_c[site])
+            # Sites without candidates keep a stale mask_c; the AND with
+            # mask_d below discards it, so only drawn sites matter.
             np.logical_and(mask_d, mask_c, out=mask_c)
             np.logical_or(timed_out, mask_c, out=timed_out)
 
@@ -332,7 +336,7 @@ class WindowState:
             # Each site jitters its own collapsed connections (idx is
             # ascending, so a site's share is one contiguous run).
             jitter = np.empty(idx.shape[0], dtype=np.float64)
-            for site, rng in rng_sites:
+            for site, rng, _ in rng_sites:
                 a = (
                     0 if site.start is None
                     else int(np.searchsorted(idx, site.start, side="left"))
@@ -343,7 +347,8 @@ class WindowState:
                 )
                 if b > a:
                     jitter[a:b] = rng.uniform(0.5, 1.5, size=b - a)
-            self.stall_until[idx] = now + t.rto * (2.0**backoff) * jitter
+            now_idx = now[idx] if isinstance(now, np.ndarray) else now
+            self.stall_until[idx] = now_idx + t.rto * (2.0**backoff) * jitter
             self.backoff[idx] = backoff + 1
             self.starved_time[idx] = 0.0
             self.collapse_count[idx] += 1

@@ -17,7 +17,9 @@ unfair interference.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +27,18 @@ from repro.errors import SimulationError
 from repro.network.allocation import admission_order_keys, allocate_greedy_in_order
 
 __all__ = ["ServerBuffers"]
+
+
+@dataclass(frozen=True)
+class _AdmissionGroups:
+    """Step-invariant admission layout (see :attr:`ServerBuffers._groups`)."""
+
+    matrix: np.ndarray        #: (n_servers, K) padded connection indices
+    flat: np.ndarray          #: ``matrix`` flattened (the gather index)
+    demands: np.ndarray       #: (n_servers, K) reused demand buffer
+    demands_flat: np.ndarray  #: ``demands`` flattened (a view)
+    width_classes: List[Tuple[int, np.ndarray, np.ndarray]]
+    uniform: bool             #: one full-width class covers every server
 
 
 class ServerBuffers:
@@ -58,54 +72,8 @@ class ServerBuffers:
         ):
             raise SimulationError("conn_server contains out-of-range server indices")
         n_conns = self.conn_server.shape[0]
-        #: Step-invariant per-server connection groups (ascending connection
-        #: indices, exactly the order a boolean ``conn_server == s`` mask
-        #: yields), computed once so the admission path never rescans the
-        #: mapping array.
-        self._server_conn_ids = [
-            np.flatnonzero(self.conn_server == s) for s in range(self.n_servers)
-        ]
-        # The groups stack into one padded (n_servers, K) index matrix, K
-        # being the widest group: short rows are padded by repeating their
-        # last real connection index (the pad slots are gathered but never
-        # read — every reduction slices the row to its true width) and the
-        # admission water-filling runs as row-wise 2D ops per *width class*
-        # instead of a per-server loop.  Slicing each class to its width
-        # preserves NumPy's pairwise-summation tree, so a ragged or batched
-        # deployment admits bit-for-bit what each group would admit alone.
-        widths = np.array(
-            [ids.shape[0] for ids in self._server_conn_ids], dtype=np.int64
-        )
-        self._group_widths = widths
+        widths = np.bincount(self.conn_server, minlength=self.n_servers)
         max_width = int(widths.max()) if n_conns else 0
-        if max_width > 0:
-            matrix = np.zeros((self.n_servers, max_width), dtype=np.int64)
-            for s, ids in enumerate(self._server_conn_ids):
-                w = ids.shape[0]
-                if w:
-                    matrix[s, :w] = ids
-                    matrix[s, w:] = ids[-1]
-            self._group_matrix: Optional[np.ndarray] = matrix
-            self._group_flat = matrix.reshape(-1)
-            self._demands_2d = np.empty(matrix.shape, dtype=np.float64)
-            self._demands_flat = self._demands_2d.reshape(-1)
-            #: (width, row indices, (m, width) connection matrix) per distinct
-            #: nonzero group width, ascending — the units the water-filling
-            #: vectorizes over.
-            self._width_classes = [
-                (w, rows, matrix[rows, :w])
-                for w in sorted({int(x) for x in widths} - {0})
-                for rows in (np.flatnonzero(widths == w),)
-            ]
-            self._uniform_groups = (
-                len(self._width_classes) == 1
-                and self._width_classes[0][0] == max_width
-                and self._width_classes[0][1].shape[0] == self.n_servers
-            )
-        else:
-            self._group_matrix = None
-            self._width_classes = []
-            self._uniform_groups = False
         #: Gathered-but-ignored slots of the padded group matrix — the
         #: padding waste masked batching pays per admission call.
         self.padded_slots = (
@@ -116,9 +84,11 @@ class ServerBuffers:
         self._weights_all_ones = False
         # Scratch buffers reused by admit()/drain(); holding them here keeps
         # the per-step allocation count flat without changing any result.
+        # The per-connection ones (and the admission groups) are built on
+        # first use: a batch member admits and drains through the flat batch
+        # buffers, never through its own.
         self._scratch_capacity = np.zeros(self.n_servers, dtype=np.float64)
         self._scratch_fraction = np.zeros(self.n_servers, dtype=np.float64)
-        self._scratch_conn = np.zeros(n_conns, dtype=np.float64)
         self._validated_weights: Optional[np.ndarray] = None
         #: Bytes currently buffered per server.
         self.fill = np.zeros(self.n_servers, dtype=np.float64)
@@ -135,6 +105,56 @@ class ServerBuffers:
         #: fraction time-weighted and therefore comparable across policies.
         self.full_steps = np.zeros(self.n_servers, dtype=np.float64)
         self.observed_steps = 0.0
+
+    @cached_property
+    def _scratch_conn(self) -> np.ndarray:
+        return np.zeros(self.n_connections, dtype=np.float64)
+
+    @cached_property
+    def _groups(self) -> Optional[_AdmissionGroups]:
+        """The padded per-server connection groups the admission path uses.
+
+        Each server's group holds its connection indices in ascending order
+        (exactly the order a boolean ``conn_server == s`` mask yields).  The
+        groups stack into one padded ``(n_servers, K)`` index matrix, K
+        being the widest group: short rows are padded by repeating their
+        last real connection index (the pad slots are gathered but never
+        read — every reduction slices the row to its true width) and the
+        admission water-filling runs as row-wise 2D ops per *width class*
+        instead of a per-server loop.  Slicing each class to its width
+        preserves NumPy's pairwise-summation tree, so a ragged or batched
+        deployment admits bit-for-bit what each group would admit alone.
+        ``None`` when there are no connections at all.
+        """
+        if not self.n_connections:
+            return None
+        ids = [np.flatnonzero(self.conn_server == s) for s in range(self.n_servers)]
+        widths = np.bincount(self.conn_server, minlength=self.n_servers)
+        max_width = int(widths.max())
+        matrix = np.zeros((self.n_servers, max_width), dtype=np.int64)
+        for s, g in enumerate(ids):
+            w = g.shape[0]
+            if w:
+                matrix[s, :w] = g
+                matrix[s, w:] = g[-1]
+        width_classes = [
+            (w, rows, matrix[rows, :w])
+            for w in sorted({int(x) for x in widths} - {0})
+            for rows in (np.flatnonzero(widths == w),)
+        ]
+        demands = np.empty(matrix.shape, dtype=np.float64)
+        return _AdmissionGroups(
+            matrix=matrix,
+            flat=matrix.reshape(-1),
+            demands=demands,
+            demands_flat=demands.reshape(-1),
+            width_classes=width_classes,
+            uniform=(
+                len(width_classes) == 1
+                and width_classes[0][0] == max_width
+                and width_classes[0][1].shape[0] == self.n_servers
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -270,12 +290,16 @@ class ServerBuffers:
             if not weights.flags.writeable:
                 self._validated_weights = weights
                 self._weights_all_ones = all_ones
-        if self._group_matrix is not None:
-            return self._admit_proportional_stacked(offered, weights, capacity, all_ones)
+        groups = self._groups
+        if groups is not None:
+            return self._admit_proportional_stacked(
+                groups, offered, weights, capacity, all_ones
+            )
         return np.zeros_like(offered)  # no connections at all
 
     def _admit_proportional_stacked(
         self,
+        groups: _AdmissionGroups,
         offered: np.ndarray,
         weights: np.ndarray,
         capacity: np.ndarray,
@@ -293,19 +317,19 @@ class ServerBuffers:
         path's early ``break``) are frozen by zeroing their takes, so the
         result is bit-for-bit the same.
         """
-        offered.take(self._group_flat, out=self._demands_flat)
-        if self._uniform_groups:
+        offered.take(groups.flat, out=groups.demands_flat)
+        if groups.uniform:
             # Single full-width class: operate on the reused buffer directly,
             # no row gather — the common every-app-stripes-everywhere path.
             alloc = self._water_fill_rows(
-                self._demands_2d, capacity, self._group_matrix, weights, all_ones
+                groups.demands, capacity, groups.matrix, weights, all_ones
             )
             admitted = np.zeros_like(offered)
-            admitted[self._group_flat] = alloc.reshape(-1)
+            admitted[groups.flat] = alloc.reshape(-1)
             return admitted
         admitted = np.zeros_like(offered)
-        for w, rows, class_matrix in self._width_classes:
-            demands = self._demands_2d[rows, :w]        # (m, w), rows contiguous
+        for w, rows, class_matrix in groups.width_classes:
+            demands = groups.demands[rows, :w]          # (m, w), rows contiguous
             alloc = self._water_fill_rows(
                 demands, capacity[rows], class_matrix, weights, all_ones
             )

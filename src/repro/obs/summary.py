@@ -65,11 +65,27 @@ def _task_spans(document: Dict[str, Any]) -> List[Dict[str, Any]]:
     return [s for s in document.get("spans", []) if s["category"] == "task"]
 
 
+def _busy_us(document: Dict[str, Any]) -> float:
+    """Worker busy time: the summed duration of the outermost work spans.
+
+    Work spans are ``task`` and ``bucket`` spans.  The member tasks of a
+    batched bucket are child spans covering the same seconds as their
+    bucket, so only work spans without a work-span parent count — no
+    second is counted twice.
+    """
+    spans = document.get("spans", [])
+    work = {s["id"] for s in spans if s["category"] in ("task", "bucket")}
+    return sum(
+        s["dur_us"] for s in spans
+        if s["id"] in work and s.get("parent") not in work
+    )
+
+
 def executor_stats(document: Dict[str, Any]) -> Dict[str, float]:
     """Worker-utilization figures derived from task spans and counters."""
     counters = document.get("counters", {})
     tasks = _task_spans(document)
-    busy_us = sum(s["dur_us"] for s in tasks)
+    busy_us = _busy_us(document)
     wall_us = _campaign_wall_us(document)
     jobs = float(document.get("gauges", {}).get("executor.jobs", 1.0))
     utilization = (

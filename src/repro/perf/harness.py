@@ -27,6 +27,8 @@ import platform
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import PerfError
 from repro.perf.counters import StepProfiler
 from repro.perf.schema import BENCH_SCHEMA_V2
@@ -189,12 +191,14 @@ def _measure_batched(batch_size: int, repeats: int) -> Dict[str, object]:
         return _build_started_batch(batch_size)
 
     def run(batch):
-        dt = batch.dt
         stepper = batch.stepper
+        dt = batch.members[0].dt  # identical copies share one step
         now = 0.0
+        clocks = np.zeros(len(batch.members), dtype=np.float64)
         for _ in range(ACTIVE_STEPS):
-            stepper.step_batch(now, dt)
+            stepper.step_batch(clocks)
             now += dt
+            clocks.fill(now)
             for member in batch.members:
                 member.engine._now = now  # manual advance, as in _measure_active
 

@@ -16,7 +16,7 @@ hit with byte-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._version import __version__
@@ -433,6 +433,28 @@ def run_matrix_pair_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[s
     return _pair_payload_from_result(built, result)
 
 
+def _stamp_member_spans(
+    items: Sequence[Tuple[str, str]], start_us: float, dur_us: float
+) -> None:
+    """One ``task`` span per bucket member, under the current span.
+
+    The members of a lockstep bucket all run for the bucket's whole wall
+    time, so each member span covers its bucket span.  Opened inside the
+    ``bucket`` span (serial route) or at the root of a pool worker's
+    registry, which the parent merges beneath the bucket work unit's span
+    (parallel route) — either way busy-time accounting sees the bucket
+    once, not once per member.
+    """
+    telemetry = get_telemetry()
+    if not telemetry.enabled:
+        return
+    for task_id, kind in items:
+        telemetry.add_span(
+            task_id, "task", start_us, dur_us, track="tasks",
+            args={"kind": kind, "batched": True, "batch": len(items)},
+        )
+
+
 def run_matrix_bucket_task(
     payload: Dict[str, Any], seed: Optional[int]
 ) -> Dict[str, Any]:
@@ -452,6 +474,7 @@ def run_matrix_bucket_task(
     from repro.runner.chaos import get_fault_plan
 
     t0 = time.perf_counter()
+    start_us = get_telemetry().now_us()
     items = payload["tasks"]
     plan = get_fault_plan()
     if plan is not None:
@@ -465,7 +488,32 @@ def run_matrix_bucket_task(
     out: Dict[str, Dict[str, Any]] = {}
     for item, b, result in zip(items, built, results):
         out[item["task_id"]] = _PAYLOAD_EXTRACTORS[item["kind"]](b, result)
-    return {"results": out, "wall_s": time.perf_counter() - t0}
+    wall = time.perf_counter() - t0
+    _stamp_member_spans(
+        [(item["task_id"], item["kind"]) for item in items], start_us, wall * 1e6
+    )
+    return {"results": out, "wall_s": wall}
+
+
+def _split_for_jobs(buckets: list, jobs: int) -> list:
+    """Split the widest buckets until ``jobs`` workers each get one.
+
+    Cadence-free planning can put a whole matrix into one bucket; a pool
+    of ``jobs`` workers needs at least ``min(jobs, tasks)`` work units to
+    stay busy.  A split keeps plan order (the halves replace their parent
+    in place), and any split of a bucket is still a valid bucket.
+    """
+    buckets = list(buckets)
+    n_tasks = sum(len(b.indices) for b in buckets)
+    while len(buckets) < min(jobs, n_tasks):
+        k = max(range(len(buckets)), key=lambda i: len(buckets[i].indices))
+        bucket = buckets[k]
+        half = (len(bucket.indices) + 1) // 2
+        buckets[k:k + 1] = [
+            replace(bucket, indices=bucket.indices[:half]),
+            replace(bucket, indices=bucket.indices[half:]),
+        ]
+    return buckets
 
 
 def run_matrix_tasks_batched(
@@ -475,25 +523,28 @@ def run_matrix_tasks_batched(
     jobs: int = 1,
     fault_policy=None,
 ) -> Dict[str, Dict[str, Any]]:
-    """Bulk route for matrix cache misses: same-cadence tasks step in lockstep.
+    """Bulk route for matrix cache misses: tasks on one deployment step in lockstep.
 
     Builds every pending task's scenario, groups compatible ones with
     :func:`repro.model.batch.plan_buckets` (``min_batch=1``: mixed widths
-    pad together and leftovers run as width-1 buckets, so only adaptive
-    stepping falls back), and advances each group through one batched kernel
-    via :func:`repro.model.batch.run_bucket`.  With ``jobs > 1`` each bucket
-    becomes a single ``matrix-bucket`` pool work unit, so the process pool
-    runs ``jobs`` batched kernels concurrently; buckets are submitted and
-    reassembled in plan order, so the parallel route is byte-identical to
-    the serial one.  Returns payloads for the bucketed tasks only — adaptive
-    tasks are *not* claimed and fall through to the executor's scalar path
-    unchanged.  The batched kernel is bitwise-equivalent to the scalar one
-    and payload extraction is shared, so both routes transport identical
-    payloads (and therefore identical cache entries).
+    and cadences share a bucket and leftovers run as width-1 buckets, so
+    only adaptive stepping falls back), and advances each group through one
+    batched kernel via :func:`repro.model.batch.run_bucket`.  With
+    ``jobs > 1`` the widest buckets are split until every worker has one
+    (:func:`_split_for_jobs`), and each bucket becomes a single
+    ``matrix-bucket`` pool work unit, so the process pool runs ``jobs``
+    batched kernels concurrently; buckets are submitted and reassembled in
+    plan order, so the parallel route is byte-identical to the serial one.
+    Returns payloads for the bucketed tasks only — adaptive tasks are *not*
+    claimed and fall through to the executor's scalar path unchanged.  The
+    batched kernel is bitwise-equivalent to the scalar one and payload
+    extraction is shared, so both routes transport identical payloads (and
+    therefore identical cache entries).
 
-    Per handled task this emits the same ``task``-category span the scalar
-    route would, tagged ``batched`` with the bucket width, and stamps
-    ``task_records`` with the bucket's wall time.
+    Telemetry: each bucket is one ``bucket`` span with one ``task`` child
+    span per member (tagged ``batched`` with the bucket width), so busy
+    time counts the bucket once; ``task_records`` get the bucket's wall
+    time per member.
 
     A bucket whose kernel raises (or whose worker dies) is *demoted*: its
     members are simply not claimed here, so they fall through to the
@@ -517,29 +568,18 @@ def run_matrix_tasks_batched(
     buckets, fallback = plan_buckets(
         [b.scenario for b in built], min_batch=1
     )
+    if jobs > 1:
+        buckets = _split_for_jobs(buckets, jobs)
     telemetry = get_telemetry()
     handled: Dict[str, Dict[str, Any]] = {}
 
-    def stamp(bucket, results, started: float, wall: float) -> None:
+    def stamp(bucket, results, wall: float) -> None:
         for i, result in zip(bucket.indices, results):
             task = supported[i]
             extract = _PAYLOAD_EXTRACTORS[task.kind]
             handled[task.task_id] = (
                 result if isinstance(result, dict) else extract(built[i], result)
             )
-            if telemetry.enabled:
-                telemetry.add_span(
-                    task.task_id,
-                    "task",
-                    (started - telemetry.epoch) * 1e6,
-                    wall * 1e6,
-                    track="tasks",
-                    args={
-                        "kind": task.kind,
-                        "batched": True,
-                        "batch": len(bucket.indices),
-                    },
-                )
             if task_records is not None:
                 task_records[task.task_id] = {
                     "wall_time_s": wall,
@@ -587,7 +627,6 @@ def run_matrix_tasks_batched(
             grace_s=5.0 if fault_policy is None else fault_policy.grace_s,
         )
         bucket_failures: Dict[str, Dict[str, Any]] = {}
-        submitted = time.time()
         outs = ParallelExecutor(jobs=jobs, fault_policy=bucket_policy).map(
             bucket_specs, failures=bucket_failures
         )
@@ -596,25 +635,35 @@ def run_matrix_tasks_batched(
                 demote(bucket)
                 continue
             results = [out["results"][supported[i].task_id] for i in bucket.indices]
-            stamp(bucket, results, submitted, float(out["wall_s"]))
+            stamp(bucket, results, float(out["wall_s"]))
     else:
         plan = get_fault_plan()
-        for bucket in buckets:
-            started = time.time()
-            t0 = time.perf_counter()
-            try:
-                if plan is not None:
-                    for i in bucket.indices:
-                        plan.maybe_inject(
-                            supported[i].task_id, 0, in_worker=False
-                        )
-                results = run_bucket(
-                    [built[i].scenario for i in bucket.indices], bucket.shape
+        for k, bucket in enumerate(buckets):
+            with telemetry.span(
+                f"bucket[{k}]:b{len(bucket.indices)}", category="bucket",
+                track="tasks", kind="matrix-bucket",
+            ):
+                start_us = telemetry.now_us()
+                t0 = time.perf_counter()
+                try:
+                    if plan is not None:
+                        for i in bucket.indices:
+                            plan.maybe_inject(
+                                supported[i].task_id, 0, in_worker=False
+                            )
+                    results = run_bucket(
+                        [built[i].scenario for i in bucket.indices], bucket.shape
+                    )
+                except Exception:
+                    demote(bucket)
+                    continue
+                wall = time.perf_counter() - t0
+                _stamp_member_spans(
+                    [(supported[i].task_id, supported[i].kind)
+                     for i in bucket.indices],
+                    start_us, wall * 1e6,
                 )
-            except Exception:
-                demote(bucket)
-                continue
-            stamp(bucket, results, started, time.perf_counter() - t0)
+            stamp(bucket, results, wall)
     if demoted and telemetry.enabled:
         telemetry.count("batch.demotions", demoted)
     for _, reason in fallback:
@@ -734,6 +783,11 @@ def _scenario_group_widths(scenario) -> List[int]:
     return [w for w in widths if w > 0]
 
 
+def _value_range(values: Sequence[float]) -> str:
+    low, high = min(values), max(values)
+    return f"{low:.6g}" if low == high else f"{low:.6g}..{high:.6g}"
+
+
 def explain_matrix_buckets(
     archetypes: Sequence[Union[str, ScenarioSpec]],
     scale: str = "tiny",
@@ -745,11 +799,12 @@ def explain_matrix_buckets(
 
     Builds exactly the task list :func:`run_interference_matrix` would run,
     plans buckets the way the batched route does (``min_batch=1``), and
-    reports per bucket its width (members), cadence, server count and the
-    set of admission-group widths that pad together — plus every task that
-    falls back to the scalar path and why.
+    reports per bucket its width (members), the range of its members' step
+    lengths and start anchors (each member keeps its own cadence), server
+    count and the set of admission-group widths that pad together — plus
+    every task that falls back to the scalar path and why.
     """
-    from repro.model.batch import plan_buckets
+    from repro.model.batch import cadence_of, plan_buckets
 
     specs = [ScenarioSpec.coerce(a) for a in archetypes]
     if len(specs) < 2:
@@ -775,9 +830,11 @@ def explain_matrix_buckets(
             for w in _scenario_group_widths(built[i].scenario)
         })
         padded = "padded" if len(widths) > 1 else "uniform"
+        dts, t0s = zip(*(cadence_of(built[i].scenario) for i in bucket.indices))
         lines.append(
             f"  bucket[{k}]  B={len(bucket.indices)}  "
-            f"dt={shape.dt:.6g}s  n_servers={shape.n_servers}  "
+            f"dt={_value_range(dts)}s  t0={_value_range(t0s)}s  "
+            f"n_servers={shape.n_servers}  "
             f"group_widths={{{','.join(str(w) for w in widths)}}} ({padded})"
         )
         lines.append(
@@ -819,8 +876,9 @@ def run_interference_matrix(
         Worker processes for the executor (alone and pair runs are
         independent tasks).
     batch:
-        Route same-cadence cache misses through the batched lockstep kernel
-        (:mod:`repro.model.batch`) instead of one simulation per task.
+        Route cache misses that share a deployment through the batched
+        lockstep kernel (:mod:`repro.model.batch`) instead of one
+        simulation per task.
         With ``jobs > 1`` each planned bucket becomes one pool work unit,
         so ``N`` workers advance ``N`` batched kernels concurrently — the
         two multipliers compose.  Results are bitwise identical either way;

@@ -259,20 +259,9 @@ class Simulator:
         """
         if period <= 0:
             raise SchedulingError(f"periodic event {label!r} needs a positive period")
-
-        def _fire(sim: "Simulator") -> None:
-            if stop_when is not None and stop_when(sim):
-                return
-            callback(sim)
-            if stop_when is not None and stop_when(sim):
-                return
-            next_time = sim.now + period
-            if sim.horizon is not None and next_time > sim.horizon:
-                return
-            sim.schedule(next_time, _fire, priority=priority, label=label)
-
+        fire = _Periodic(period, callback, priority, label, stop_when)
         first = self._now + period if start is None else float(start)
-        return self.schedule(first, _fire, priority=priority, label=label)
+        return self.schedule(first, fire, priority=priority, label=label)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -438,6 +427,20 @@ class Simulator:
         self._n_stale = 0
         return before - len(self._heap)
 
+    def clear(self) -> None:
+        """Drop every pending event (for an engine whose run is over).
+
+        A pending event refers back to its engine through its cancel hook,
+        so a finished engine — and everything its pending callbacks reach,
+        typically a whole simulation state — would otherwise stay alive
+        until the cyclic garbage collector runs.  Lifetime :meth:`stats`
+        are unaffected.
+        """
+        for _, event in self._heap:
+            event.on_cancel = None
+        self._heap.clear()
+        self._n_cancelled = self._n_stale = 0
+
     def stats(self) -> dict:
         """Lifetime event-kernel totals for the telemetry registry.
 
@@ -464,3 +467,41 @@ class Simulator:
             f"<Simulator t={self._now:.6f} pending={self.pending_events} "
             f"processed={self._events_processed}>"
         )
+
+
+class _Periodic:
+    """The self-rescheduling callback behind :meth:`Simulator.schedule_periodic`.
+
+    An object rather than a closure that names itself: nothing here refers
+    back to the callback's own event chain, so once the engine drops its
+    last pending event the callback (and whatever it reaches) is freed at
+    once instead of waiting for the cyclic garbage collector.
+    """
+
+    __slots__ = ("period", "callback", "priority", "label", "stop_when")
+
+    def __init__(
+        self,
+        period: float,
+        callback: Callable[["Simulator"], None],
+        priority: EventPriority,
+        label: str,
+        stop_when: Optional[Callable[["Simulator"], bool]],
+    ) -> None:
+        self.period = period
+        self.callback = callback
+        self.priority = priority
+        self.label = label
+        self.stop_when = stop_when
+
+    def __call__(self, sim: "Simulator") -> None:
+        stop_when = self.stop_when
+        if stop_when is not None and stop_when(sim):
+            return
+        self.callback(sim)
+        if stop_when is not None and stop_when(sim):
+            return
+        next_time = sim.now + self.period
+        if sim.horizon is not None and next_time > sim.horizon:
+            return
+        sim.schedule(next_time, self, priority=self.priority, label=self.label)

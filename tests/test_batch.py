@@ -40,6 +40,14 @@ def _alone_scenario(archetype):
     return build_scenario([archetype], "tiny").scenario
 
 
+def _other_deployments():
+    """Two scenarios that share no deployment (HDD vs SSD servers)."""
+    return [
+        _alone_scenario("checkpoint"),
+        build_scenario(["analytics"], "tiny", device="ssd").scenario,
+    ]
+
+
 # ---------------------------------------------------------------------- #
 # Golden equivalence at B=1
 # ---------------------------------------------------------------------- #
@@ -85,7 +93,6 @@ class TestBatchVsAlone:
         assert digests == {alone_digest}
 
     def test_results_come_back_in_input_order(self):
-        # checkpoint/streaming share a shape; analytics falls back scalar.
         names = ("checkpoint", "analytics", "streaming")
         scenarios = [_alone_scenario(a) for a in names]
         results = simulate_many(scenarios)
@@ -162,8 +169,8 @@ class TestBucketing:
         assert {reason for _, reason in fallback} == {"adaptive"}
 
     def test_singletons_fall_back(self):
-        # analytics has a different shape than checkpoint: no pairing.
-        scenarios = [_alone_scenario("checkpoint"), _alone_scenario("analytics")]
+        # Different backend devices are different filesystems: no pairing.
+        scenarios = _other_deployments()
         buckets, fallback = plan_buckets(scenarios)
         assert not buckets
         assert {reason for _, reason in fallback} == {"singleton"}
@@ -214,7 +221,7 @@ class TestBatchTelemetry:
         assert "batch.occupancy" in snapshot["histograms"]
 
     def test_fallback_counters(self):
-        scenarios = [_alone_scenario("checkpoint"), _alone_scenario("analytics")]
+        scenarios = _other_deployments()
         with telemetry_session("batch-test") as telemetry:
             simulate_many(scenarios)
             snapshot = telemetry.snapshot()
@@ -321,6 +328,20 @@ class TestMatrixBatching:
             t for t, r in batched.task_records.items() if r.get("batched")
         ]
         assert len(batched_tasks) == 5
+
+    def test_serial_batched_matrix_utilization_at_most_one(self):
+        """Busy time counts each bucket once, not once per member task."""
+        from repro.obs.summary import executor_stats
+        from repro.scenarios.matrix import run_interference_matrix
+
+        archetypes = ["checkpoint", "analytics", "smallfile", "incast"]
+        with telemetry_session("matrix-utilization") as telemetry:
+            run_interference_matrix(archetypes, "tiny", jobs=1, batch=True)
+            document = telemetry.to_document()
+        stats = executor_stats(document)
+        assert stats["n_tasks"] == 14
+        assert any(s["category"] == "bucket" for s in document["spans"])
+        assert 0.0 < stats["utilization"] <= 1.0
 
     def test_jobs_gt_one_keeps_batching(self):
         """The batch runner is wired for every jobs value and forwards the

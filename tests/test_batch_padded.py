@@ -98,7 +98,7 @@ class TestRaggedAdmissionProperty:
         # The padding accounting always balances: every slot of the (S, K)
         # matrix is either a real group slot or a masked pad slot.
         real = int(np.bincount(conn_server, minlength=n_servers).sum())
-        if buffers._group_matrix is not None:
+        if buffers._groups is not None:
             assert buffers.group_slots - buffers.padded_slots >= real
             assert buffers.padded_slots >= 0
 

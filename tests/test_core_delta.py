@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.presets import make_scenario
 from repro.core.delta import DeltaPoint, DeltaSweep, default_deltas, run_delta_sweep
-from repro.core.experiment import TwoApplicationExperiment
+from repro.core.experiment import TwoApplicationExperiment, run_sweeps
 from repro.errors import AnalysisError, ExperimentError
 
 
@@ -145,3 +145,35 @@ class TestTwoApplicationExperiment:
             TwoApplicationExperiment(
                 scenario=scenario.with_applications(scenario.applications[:1])
             )
+
+
+class TestRunSweeps:
+    @staticmethod
+    def _experiments():
+        return [
+            TwoApplicationExperiment("tiny", device="hdd", sync_mode="sync-on"),
+            TwoApplicationExperiment("tiny", device="ram", sync_mode="sync-off"),
+            TwoApplicationExperiment("tiny", device="hdd", sync_mode="sync-on",
+                                     procs_per_node=2),
+        ]
+
+    def test_matches_one_sweep_at_a_time(self):
+        labels = ["hdd", "", "two per node"]
+        batched = run_sweeps(self._experiments(), n_points=3, labels=labels)
+        single = [
+            exp.run_sweep(n_points=3, label=label)
+            for exp, label in zip(self._experiments(), labels)
+        ]
+        assert [s.to_dict() for s in batched] == [s.to_dict() for s in single]
+
+    def test_simulates_each_baseline_once(self):
+        experiments = self._experiments()
+        experiments[0].baseline()
+        cached = experiments[0].baseline()
+        run_sweeps(experiments + experiments[1:2], n_points=3)
+        assert experiments[0].baseline() is cached
+        assert experiments[1].baseline() is not None
+
+    def test_needs_one_label_per_experiment(self):
+        with pytest.raises(ExperimentError):
+            run_sweeps(self._experiments(), n_points=3, labels=["only one"])

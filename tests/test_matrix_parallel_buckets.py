@@ -15,8 +15,8 @@ from repro.obs.summary import batch_stats, executor_stats
 from repro.obs.telemetry import telemetry_session
 from repro.scenarios.matrix import run_interference_matrix
 
-#: Two cadence-distinct archetypes: 5 tasks in >1 buckets, so jobs=2
-#: actually takes the bucket-dispatch path (it needs multiple buckets).
+#: Two archetypes: 5 tasks that plan into one bucket, which jobs=2 splits
+#: so the bucket-dispatch path has a work unit per worker.
 ARCHETYPES = ["checkpoint", "analytics"]
 
 

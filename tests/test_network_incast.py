@@ -163,8 +163,8 @@ class TestProportionalAdmissionPaths:
         offered = np.array([50.0, 30.0, 40.0, 10.0, 200.0, 5.0])
         weights = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 3.0])
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
-        assert not buffers._uniform_groups
-        assert [w for w, _, _ in buffers._width_classes] == [1, 2, 3]
+        assert not buffers._groups.uniform
+        assert [w for w, _, _ in buffers._groups.width_classes] == [1, 2, 3]
         # Widths 3/2/1 padded to K=3: 0 + 1 + 2 wasted slots.
         assert buffers.padded_slots == 3
         assert buffers.group_slots == 9
@@ -174,8 +174,8 @@ class TestProportionalAdmissionPaths:
         offered = np.array([80.0, 30.0, 40.0, 90.0, 200.0, 5.0])
         weights = np.ones(6)
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
-        assert buffers._group_matrix is not None
-        assert buffers._uniform_groups
+        assert buffers._groups is not None
+        assert buffers._groups.uniform
         assert buffers.padded_slots == 0
 
     def test_server_without_connections_pads_harmlessly(self):
@@ -185,7 +185,7 @@ class TestProportionalAdmissionPaths:
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
         # Server 1 hosts no connections: its padded row never reaches a
         # width class and costs K slots of padding waste.
-        assert [w for w, _, _ in buffers._width_classes] == [2]
+        assert [w for w, _, _ in buffers._groups.width_classes] == [2]
         assert buffers.padded_slots == 2
 
     def test_stacked_path_with_nonuniform_weights(self):

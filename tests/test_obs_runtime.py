@@ -171,7 +171,15 @@ class TestMatrixTelemetry:
         task_spans = [s for s in document["spans"] if s["category"] == "task"]
         assert campaign["name"] == "matrix:tiny"
         assert len(task_spans) == len(matrix.task_records)
-        assert all(s["parent"] == campaign["id"] for s in task_spans)
+        # Batched tasks nest one level deeper, inside their bucket's span.
+        buckets = {
+            s["id"]: s for s in document["spans"] if s["category"] == "bucket"
+        }
+        for span in task_spans:
+            parent = span["parent"]
+            if parent in buckets:
+                parent = buckets[parent]["parent"]
+            assert parent == campaign["id"]
 
     def test_task_records_cover_every_task(self, observed_matrix):
         matrix, document, _ = observed_matrix
