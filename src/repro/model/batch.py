@@ -31,13 +31,20 @@ by construction rather than by tolerance:
   ``rng_sites`` so hazard draws (with the paced-timeout probability of the
   member's own ``dt``) and collapse jitter come from each member's own
   transport stream, gated and sized exactly as a member-alone run;
-* member-local scalar work — backend commits, observed link time, forced
-  timeouts, trace marks, completion handling — runs per member with that
-  member's own scalar ``now``/``dt``;
+* the storage servers are flat lanes too: one deployment of ``B * S`` lanes
+  (the members' deployments view their slices) takes one drain-rate query
+  and one backend commit per step, and the buffers record every member's
+  pressure statistics in one call;
+* member-local work — forced timeouts, trace marks, completion handling —
+  runs per member with that member's own scalar ``now``, and only for the
+  members a flat test flags (gated or collapsed connections; apps whose
+  outstanding bytes let them complete or issue);
 * a finished member steps on as an exact no-op (zero outstanding bytes means
   zero offers, zero admissions, no window motion — the post-step invariant
-  ``starved_time < rto`` rules out late timeouts), so no per-lane masking is
-  needed; its clock simply stops, and the member-local work above skips it.
+  ``starved_time < rto`` rules out late timeouts); the accounting that would
+  still advance is masked by a zero step length on its server lanes (drain
+  budget, backend commit, pressure weight) and in its observed link time,
+  so its lanes freeze exactly at its finish.
 
 Driver
 ------
@@ -91,6 +98,7 @@ from repro.network.congestion import WindowState
 from repro.network.incast import ServerBuffers
 from repro.network.topology import StarTopology
 from repro.obs.telemetry import get_telemetry
+from repro.pfs.filesystem import PVFSDeployment
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.rng import RandomStreams
@@ -112,7 +120,10 @@ _WINDOW_ARRAYS = (
     "cwnd", "stall_until", "backoff", "starved_time", "last_delivery",
     "collapse_count", "delivered_bytes", "paced", "ever_paced",
 )
-_BUFFER_SERVER_ARRAYS = ("fill", "total_admitted", "total_drained")
+_BUFFER_SERVER_ARRAYS = ("fill", "total_admitted", "total_drained", "full_steps",
+                         "step_weight")
+#: Member process bookkeeping re-pointed at flat process lanes.
+_PROCESS_ARRAYS = ("proc_current_op", "proc_next_issue")
 
 
 # ---------------------------------------------------------------------- #
@@ -212,6 +223,8 @@ class _BatchMember:
     conn_sl: slice
     srv_sl: slice
     node_sl: slice
+    proc_sl: slice
+    app_sl: slice
     dt: float
     until: float
     admission_rng: np.random.Generator
@@ -234,13 +247,16 @@ class _BatchedTopology:
     """Flat per-link accounting shared by every member.
 
     Busy/transferred arrays are the storage the members' own topologies view
-    into; ``_observed_time`` stays member-local (it advances only while the
-    member is live) so utilization denominators freeze at member finish.
+    into; ``observed_time`` holds each member's utilization denominator,
+    advanced by its live-masked step length (so it freezes at member finish)
+    and handed to the member's topology when it finishes.
     """
 
-    def __init__(self, node_capacity: np.ndarray, server_capacity: np.ndarray) -> None:
+    def __init__(self, node_capacity: np.ndarray, server_capacity: np.ndarray,
+                 n_members: int) -> None:
         self._node_capacity = node_capacity
         self._server_capacity = server_capacity
+        self.observed_time = np.zeros(n_members, dtype=np.float64)
         n_nodes = node_capacity.shape[0]
         n_servers = server_capacity.shape[0]
         self.node_busy = np.zeros(n_nodes, dtype=np.float64)
@@ -263,13 +279,14 @@ class _BatchedTopology:
         return self._server_capacity.copy()
 
     def record_step_flat(self, per_node: np.ndarray, per_server: np.ndarray,
-                         dt: _Lanes) -> None:
-        """The two `_record_group` updates of ``StarTopology.record_step``.
+                         dt: _Lanes, member_dt: np.ndarray) -> None:
+        """``StarTopology.record_step`` over every member at once.
 
-        Validation is skipped (the batched kernel feeds its own bincounts)
-        and ``_observed_time`` is left to the per-member accounting.  Dead
-        members contribute exact zeros, so flat accumulation is exact.
+        Validation is skipped (the batched kernel feeds its own bincounts).
+        Dead members contribute exact zeros to the link groups, and their
+        ``member_dt`` entry is zero, so flat accumulation is exact.
         """
+        self.observed_time += member_dt
         StarTopology._record_group(
             per_node, self._node_capacity, self.node_transferred,
             self.node_busy, self._scratch_node, self._scratch_node2, dt.node,
@@ -278,44 +295,6 @@ class _BatchedTopology:
             per_server, self._server_capacity, self.server_transferred,
             self.server_busy, self._scratch_server, self._scratch_server2, dt.srv,
         )
-
-
-class _BatchedDeployment:
-    """Routes drain-rate queries and backend commits to live members.
-
-    The per-server drain law is a Python loop over mutable ``PVFSServer``
-    objects, so it stays member-local: each live member's deployment answers
-    for its own server lanes.  Dead members keep stale lanes in ``_rates`` —
-    harmless, since their connections offer zero bytes.
-    """
-
-    def __init__(self, live: List[_BatchMember], n_servers: int) -> None:
-        self._live = live
-        self._rates = np.zeros(n_servers, dtype=np.float64)
-
-    def drain_rates(self, n_streams: np.ndarray, avg_frag: np.ndarray) -> np.ndarray:
-        rates = self._rates
-        for member in self._live:
-            sl = member.srv_sl
-            rates[sl] = member.sim.state.deployment.drain_rates(
-                n_streams[sl], avg_frag[sl]
-            )
-        return rates
-
-    def commit(
-        self,
-        drained: np.ndarray,
-        dt: np.ndarray,
-        n_streams: np.ndarray,
-        avg_frag: np.ndarray,
-    ) -> None:
-        """Commit each live member's server lanes with its own scalar step
-        length (``dt`` holds the same values expanded per server lane)."""
-        for member in self._live:
-            sl = member.srv_sl
-            member.sim.state.deployment.commit(
-                drained[sl], member.dt, n_streams[sl], avg_frag[sl]
-            )
 
 
 class _BatchedState:
@@ -331,7 +310,6 @@ class _BatchedState:
         self,
         members: Sequence[_BatchMember],
         topology: _BatchedTopology,
-        deployment: _BatchedDeployment,
         conn_server: np.ndarray,
         conn_node: np.ndarray,
     ) -> None:
@@ -342,7 +320,6 @@ class _BatchedState:
         self.streams = RandomStreams(0)
         self.recorder = None  # the batched phases never mark; members do
         self.topology = topology
-        self.deployment = deployment
         self.conn_server = conn_server
         self.conn_node = conn_node
         self.n_connections = int(conn_server.shape[0])
@@ -362,12 +339,27 @@ class _BatchedState:
             capacity_bytes=scenario.filesystem.server.buffer_bytes,
             conn_server=conn_server,
         )
+        self.deployment = PVFSDeployment(
+            scenario.filesystem, scenario.platform.network.server_nic_bw,
+            n_lanes=self.n_servers,
+        )
         self.send_remaining = np.zeros(self.n_connections, dtype=np.float64)
         self.frag_size = np.zeros(self.n_connections, dtype=np.float64)
         self.last_drain_rate = np.full(
             self.n_servers, scenario.filesystem.server.ingest_bw, dtype=np.float64
         )
         self.last_admission_rate = np.zeros(self.n_servers, dtype=np.float64)
+        #: Flat process and application lanes of the completion prefilter.
+        self.conn_proc = np.concatenate(
+            [m.sim.state.conn_proc + m.proc_sl.start for m in members]
+        )
+        self.conn_app = np.concatenate(
+            [m.sim.state.conn_app + m.app_sl.start for m in members]
+        )
+        self.n_processes = members[-1].proc_sl.stop
+        self.proc_current_op = np.full(self.n_processes, -1, dtype=np.int64)
+        self.proc_next_issue = np.zeros(self.n_processes, dtype=np.float64)
+        self.app_active = np.zeros(self.n_apps, dtype=bool)
 
 
 # ---------------------------------------------------------------------- #
@@ -384,59 +376,107 @@ class BatchedStepper(ModelStepper):
     member-local bookkeeping: the burst-escape gate, window dynamics,
     accounting, and completion.
 
-    ``dt`` is every member's step length expanded per connection, server
-    and node lane; it is fixed for the bucket's lifetime, so the dt-scaled
-    node/NIC caps are computed once here.  ``live`` is the batch loop's list of
-    unfinished members, which every member-local loop walks.
+    Every member's step length is expanded per connection, server and node
+    lane; it is fixed for the bucket's lifetime, so the dt-scaled node/NIC
+    caps are computed once here.  The server lanes' step length as the
+    drain, the backend commit and the pressure statistics see it
+    (``ctx.dt_server``) is zero on the lanes of finished members, which
+    freezes those lanes exactly; :meth:`retire` re-derives it whenever a
+    member finishes.
     """
 
-    def __init__(self, state: _BatchedState, live: List[_BatchMember],
-                 dt: _Lanes, conn_member: np.ndarray) -> None:
+    def __init__(self, state: _BatchedState, members: Sequence[_BatchMember]) -> None:
         super().__init__(state)  # type: ignore[arg-type]
-        self._live = live
-        self._dt = dt
-        self._conn_member = conn_member
-        np.multiply(self._node_caps, dt.node, out=self._node_caps_dt)
-        np.multiply(self._server_nic, dt.srv, out=self._server_nic_dt)
+        self._members = list(members)
+        n_members = len(self._members)
+        member_ids = np.arange(n_members)
+        member_dt = np.array([m.dt for m in members], dtype=np.float64)
+
+        def lanes(name: str) -> np.ndarray:
+            sizes = [getattr(m, name).stop - getattr(m, name).start for m in members]
+            return np.repeat(member_ids, np.asarray(sizes, dtype=np.int64))
+
+        self._conn_member = lanes("conn_sl")
+        self._srv_member = lanes("srv_sl")
+        self._proc_member = lanes("proc_sl")
+        self._app_member = lanes("app_sl")
+        self._member_dt = member_dt
+        self._dt = _Lanes(
+            conn=member_dt[self._conn_member],
+            srv=member_dt[self._srv_member],
+            node=member_dt[lanes("node_sl")],
+        )
+        np.multiply(self._node_caps, self._dt.node, out=self._node_caps_dt)
+        np.multiply(self._server_nic, self._dt.srv, out=self._server_nic_dt)
+        # Live-masked step lengths and pressure weights (see retire()).
+        self._member_dt_live = np.empty(n_members, dtype=np.float64)
+        self._step_weight = np.empty(state.n_servers, dtype=np.float64)
         self._ctx = StepContext(
             now=np.zeros(state.n_connections, dtype=np.float64),
-            dt=dt.conn,
-            dt_server=dt.srv,
+            dt=self._dt.conn,
+            dt_server=np.empty(state.n_servers, dtype=np.float64),
         )
+        self._member_now = np.zeros(n_members, dtype=np.float64)
+
+        # Static lanes of the completion prefilter.
+        apps = [app for m in members for app in m.sim.state.applications]
+        self._collective = np.array(
+            [app.spec.pattern.collective for app in apps], dtype=bool
+        )
+        self._independent = ~self._collective
+        self._proc_app = np.concatenate(
+            [m.sim.state.proc_app + m.app_sl.start for m in members]
+        )
+        app_last_op = np.array([app.n_operations - 1 for app in apps], dtype=np.int64)
+        self._proc_last_op = app_last_op[self._proc_app]
+        self._app_n_procs = np.bincount(self._proc_app, minlength=len(apps))
         self.retire()
 
     def retire(self) -> None:
-        """Re-derive the per-member RNG sites after the live set changed.
+        """Re-derive the live masks after the live set changed.
 
-        Hazard draws and collapse jitter come from each member's own
-        transport stream, sliced to its lanes, with its own step length.
-        Dead members never have candidates (their connections are inactive
-        and their post-step starvation clocks sit below the RTO), so their
-        sites can go.
+        Finished members' server lanes get a zero step length and pressure
+        weight, and their observed link time stops.  Hazard draws and
+        collapse jitter come from each live member's own transport stream,
+        sliced to its lanes, with its own step length; dead members never
+        have candidates (their connections are inactive and their post-step
+        starvation clocks sit below the RTO), so their sites can go.
         """
+        live = np.array([m.live for m in self._members], dtype=bool)
+        self._live = live
+        srv_live = live[self._srv_member]
+        np.multiply(self._dt.srv, srv_live, out=self._ctx.dt_server)
+        np.copyto(self._step_weight, srv_live)
+        np.multiply(self._member_dt, live, out=self._member_dt_live)
         self._rng_sites = tuple(
-            (m.conn_sl, m.sim.state.windows._rng, m.dt) for m in self._live
+            (m.conn_sl, m.sim.state.windows._rng, m.dt) for m in self._members if m.live
         )
+
+    def _live_members_of(self, lane_member: np.ndarray) -> List[_BatchMember]:
+        """The live members owning any of the lanes ``lane_member`` names."""
+        hit = np.zeros(len(self._members), dtype=bool)
+        hit[lane_member] = True
+        return [self._members[k] for k in np.flatnonzero(hit & self._live)]
 
     # -- phase overrides ------------------------------------------------ #
 
     def _burst_escape_gate(self, ctx: StepContext) -> None:
         """Per-member burst-escape gate.
 
-        Mirrors the scalar gate slice by slice so every member consumes
-        exactly the draws (one full-lane ``random`` per step with any gated
-        connection) a member-alone run would, from its own admission stream.
+        Mirrors the scalar gate slice by slice so every member with a gated
+        connection consumes exactly the draws (one full-lane ``random`` per
+        step with any gated connection) a member-alone run would, from its
+        own admission stream.
         """
         ws = self.workspace
         transport = self._transport
         if not ws.tmp_bool_a.any():
             return
         ever_paced = self.state.windows.ever_paced
-        for member in self._live:
+        gated_members = self._conn_member[ws.tmp_bool_a]
+        for member in self._live_members_of(gated_members):
             sl = member.conn_sl
             gated = ws.tmp_bool_a[sl]
-            if not gated.any():
-                continue
             draws = ws.draws[sl]
             member.admission_rng.random(out=draws)
             probs = ws.tmp_conn_a[sl]
@@ -477,12 +517,10 @@ class BatchedStepper(ModelStepper):
             # Collapsed indices are ascending, so each member's share is one
             # contiguous run; split it per member for the local statistics.
             idx = update.collapsed_indices
-            for member in self._live:
+            for member in self._live_members_of(self._conn_member[idx]):
                 sl = member.conn_sl
                 a = int(np.searchsorted(idx, sl.start, side="left"))
                 b = int(np.searchsorted(idx, sl.stop, side="left"))
-                if b <= a:
-                    continue
                 mstate = member.sim.state
                 local_idx = idx[a:b] - sl.start
                 mstate.collapses_per_app += np.bincount(
@@ -501,17 +539,45 @@ class BatchedStepper(ModelStepper):
         per_server = np.bincount(
             state.conn_server, weights=ctx.admitted, minlength=self._n_servers
         )
-        state.topology.record_step_flat(per_node, per_server, self._dt)
-        # Observed time and pressure-step counts are member-local and stop
-        # advancing at member finish, exactly like a scalar run ending.
-        for member in self._live:
-            member.sim.state.topology._observed_time += member.dt
-            member.sim.state.buffers.note_step()
+        # Observed link time and pressure steps stop advancing at member
+        # finish, exactly like a scalar run ending.
+        state.topology.record_step_flat(per_node, per_server, self._dt,
+                                        self._member_dt_live)
+        state.buffers.note_step(weight=self._step_weight)
         np.divide(per_server, self._dt.srv, out=state.last_admission_rate)
 
     def _phase_completion(self, sim: Optional[Simulator]) -> None:
-        for member in self._live:
-            member.sim.stepper._handle_completions(member.engine)
+        """Run completion handling for the members that need it this step.
+
+        One flat outstanding-bytes pass finds the apps that can act: a
+        collective app whose bytes are all handled, or a non-collective app
+        with a process ready to issue or with every process done — exactly
+        the cases in which ``_handle_completions`` changes anything.  Only
+        active apps (started, unfinished, not waiting for an issue) count.
+        """
+        state = self.state
+        ws = self.workspace
+        eps = self._completion_epsilon
+        np.add(state.send_remaining, state.buffers.conn_bytes, out=ws.tmp_conn_a)
+        per_app = np.bincount(state.conn_app, weights=ws.tmp_conn_a,
+                              minlength=state.n_apps)
+        due = self._collective & state.app_active & (per_app <= eps)
+        independent = self._independent & state.app_active
+        if independent.any():
+            idle = np.bincount(state.conn_proc, weights=ws.tmp_conn_a,
+                               minlength=state.n_processes) <= eps
+            exhausted = state.proc_current_op >= self._proc_last_op
+            ready = idle & ~exhausted & (
+                state.proc_next_issue <= self._member_now[self._proc_member]
+            )
+            issuing = np.bincount(self._proc_app, weights=ready,
+                                  minlength=state.n_apps) > 0
+            done = np.bincount(self._proc_app, weights=idle & exhausted,
+                               minlength=state.n_apps) == self._app_n_procs
+            due |= independent & (issuing | done)
+        if due.any():
+            for member in self._live_members_of(self._app_member[due]):
+                member.sim.stepper._handle_completions(member.engine)
 
     # -- the batched step ----------------------------------------------- #
 
@@ -523,6 +589,7 @@ class BatchedStepper(ModelStepper):
         are never read by anything that changes state.
         """
         ctx = self._ctx
+        self._member_now[:] = now
         np.take(now, self._conn_member, out=ctx.now)
         profiler = self.profiler
         if profiler is None:
@@ -553,11 +620,6 @@ class BatchedStepper(ModelStepper):
 # ---------------------------------------------------------------------- #
 # The lockstep driver
 # ---------------------------------------------------------------------- #
-
-
-def _expand(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """``values[k]`` repeated ``sizes[k]`` times, members in order."""
-    return np.repeat(values, np.asarray(sizes, dtype=np.int64))
 
 
 class BatchSimulator:
@@ -596,7 +658,7 @@ class BatchSimulator:
 
         # Lanes and per-member cadence.
         members: List[_BatchMember] = []
-        conn_off = srv_off = node_off = 0
+        conn_off = srv_off = node_off = proc_off = app_off = 0
         for k, sim in enumerate(sims):
             st = sim.state
             n_c = st.n_connections
@@ -612,6 +674,8 @@ class BatchSimulator:
                     conn_sl=slice(conn_off, conn_off + n_c),
                     srv_sl=slice(srv_off, srv_off + n_s),
                     node_sl=slice(node_off, node_off + n_n),
+                    proc_sl=slice(proc_off, proc_off + st.n_processes),
+                    app_sl=slice(app_off, app_off + st.n_apps),
                     dt=sim.step_size,
                     until=t0 + max_time,
                     admission_rng=sim.stepper._rng,
@@ -620,23 +684,17 @@ class BatchSimulator:
             conn_off += n_c
             srv_off += n_s
             node_off += n_n
+            proc_off += st.n_processes
+            app_off += st.n_apps
         self.members = members
-        #: Unfinished members, in member order (shared with the stepper).
+        #: Unfinished members, in member order.
         self.live: List[_BatchMember] = list(members)
         #: Each member's clock at its current step boundary.
         self._now = np.array(
             [m.engine.now for m in members], dtype=np.float64
         )
 
-        # Flat index maps, per-lane cadence and facade state.
-        conn_sizes = [m.conn_sl.stop - m.conn_sl.start for m in members]
-        member_dt = np.array([m.dt for m in members], dtype=np.float64)
-        dt = _Lanes(
-            conn=_expand(member_dt, conn_sizes),
-            srv=_expand(member_dt, [m.srv_sl.stop - m.srv_sl.start for m in members]),
-            node=_expand(member_dt, [m.node_sl.stop - m.node_sl.start for m in members]),
-        )
-        conn_member = _expand(np.arange(len(members)), conn_sizes)
+        # Flat index maps and facade state.
         conn_server = np.concatenate(
             [m.sim.state.conn_server + m.srv_sl.start for m in members]
         )
@@ -646,12 +704,12 @@ class BatchSimulator:
         topology = _BatchedTopology(
             np.concatenate([m.sim.state.topology.node_capacities() for m in members]),
             np.concatenate([m.sim.state.topology.server_capacities() for m in members]),
+            len(members),
         )
-        deployment = _BatchedDeployment(self.live, srv_off)
-        state = _BatchedState(members, topology, deployment, conn_server, conn_node)
+        state = _BatchedState(members, topology, conn_server, conn_node)
         self.state = state
         self._repoint_members()
-        self.stepper = BatchedStepper(state, self.live, dt, conn_member)
+        self.stepper = BatchedStepper(state, members)
         self._schedule_control_plane()
         self.n_batch_steps = 0
 
@@ -661,9 +719,9 @@ class BatchSimulator:
         """Point every member's hot arrays at its lanes of the flat state.
 
         Both sides are freshly constructed (identical initial values), so
-        this changes storage, not state.  Member-local arrays — process
-        bookkeeping, collapse statistics, pressure step counts, observed
-        time — stay where they are.
+        this changes storage, not state.  Member-local state — collapse
+        statistics, application runtimes, observed link time — stays where
+        it is.
         """
         state = self.state
         for member in self.members:
@@ -672,6 +730,10 @@ class BatchSimulator:
                 setattr(st.windows, name, getattr(state.windows, name)[member.conn_sl])
             for name in _BUFFER_SERVER_ARRAYS:
                 setattr(st.buffers, name, getattr(state.buffers, name)[member.srv_sl])
+            st.deployment.share_lanes(state.deployment, member.srv_sl)
+            for name in _PROCESS_ARRAYS:
+                setattr(st, name, getattr(state, name)[member.proc_sl])
+            st.app_active = state.app_active[member.app_sl]
             st.buffers.conn_bytes = state.buffers.conn_bytes[member.conn_sl]
             st.send_remaining = state.send_remaining[member.conn_sl]
             st.frag_size = state.frag_size[member.conn_sl]
@@ -704,13 +766,14 @@ class BatchSimulator:
                     priority=EventPriority.CONTROL,
                     label=f"start.{app.name}",
                 )
+            # No finished probe: the batch loop clears a member's engine as
+            # soon as the step that finished it returns.
             engine.schedule_periodic(
                 member.dt,
                 _stop_for_batch_step,
                 start=t0 + member.dt,
                 priority=EventPriority.NORMAL,
                 label="model.step",
-                stop_when=_make_finished_probe(st),
             )
             if sim.recorder.config.records_series:
                 sample_period = sim.scenario.control.trace.series_sample_period
@@ -752,6 +815,9 @@ class BatchSimulator:
                 member.live = False
                 member.end_time = member.engine.now
                 member.engine.clear()
+                member.sim.state.topology._observed_time = float(
+                    self.state.topology.observed_time[member.index]
+                )
                 finished = True
         if finished:
             self.live[:] = [m for m in self.live if m.live]

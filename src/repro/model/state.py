@@ -27,7 +27,7 @@ from repro.network.congestion import WindowState
 from repro.network.incast import ServerBuffers
 from repro.network.topology import StarTopology
 from repro.pfs.filesystem import PVFSDeployment
-from repro.pfs.striping import extent_to_server_bytes
+from repro.pfs.striping import extents_to_server_matrix
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecorder
 from repro.workload.application import Application
@@ -96,12 +96,10 @@ class ModelState:
 
         self.proc_app = np.empty(self.n_processes, dtype=np.int64)
         self.proc_node = np.empty(self.n_processes, dtype=np.int64)
-        self.proc_rank = np.empty(self.n_processes, dtype=np.int64)
         for app in self.applications:
             ids = app.proc_ids()
             self.proc_app[ids] = app.index
             self.proc_node[ids] = app.node_of_rank()
-            self.proc_rank[ids] = app.ranks()
 
         # ---------------- connections -------------------------------------
         conn_proc: List[np.ndarray] = []
@@ -155,6 +153,11 @@ class ModelState:
 
         # Per-application runtime bookkeeping.
         self.app_runtime: List[AppRuntime] = [AppRuntime(app=app) for app in self.applications]
+        #: Apps whose completion the stepper checks each step: set once an
+        #: app has started and whenever an operation is issued, cleared
+        #: while it waits for its next collective issue and at its finish.
+        #: Never False for a started, unfinished, non-waiting app.
+        self.app_active = np.zeros(self.n_apps, dtype=bool)
 
         # Per-process bookkeeping for the non-collective mode.
         self.proc_current_op = np.full(self.n_processes, -1, dtype=np.int64)
@@ -213,54 +216,71 @@ class ModelState:
                 f"application {app.name!r} has no operation {op_index}"
             )
         offsets, lengths = app.operation_extents(op_index)
-        fs = self.scenario.filesystem
-        ids = self.app_proc_ids[app.index]
-        issued = 0.0
-        for local_rank in range(ids.shape[0]):
-            proc = int(ids[local_rank])
-            per_server = extent_to_server_bytes(
-                float(offsets[local_rank]),
-                float(lengths[local_rank]),
-                fs.stripe_size,
-                app.servers,
-                self.n_servers,
-            )
-            touched = np.flatnonzero(per_server > 0)
-            conns = self.conn_matrix[proc, touched]
-            if np.any(conns < 0):  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"process {proc} has no connection to one of servers {touched}"
-                )
-            self.send_remaining[conns] += per_server[touched]
-            self.frag_size[conns] = per_server[touched]
-            issued += float(per_server[touched].sum())
+        per_rank = self._load_extents(app, self.app_proc_ids[app.index], offsets, lengths)
+        # Summed rank by rank from zero, then added to the running total.
+        issued = float(np.cumsum(per_rank)[-1])
         runtime = self.app_runtime[app.index]
         runtime.issued_bytes += issued
         runtime.current_op = op_index
         runtime.waiting_issue = False
+        self.app_active[app.index] = True
         return issued
 
-    def issue_process_operation(self, proc: int, op_index: int) -> float:
-        """Load operation ``op_index`` of one process (non-collective mode)."""
-        app = self.applications[int(self.proc_app[proc])]
-        offsets, lengths = app.operation_extents(op_index)
-        local_rank = int(self.proc_rank[proc])
-        fs = self.scenario.filesystem
-        per_server = extent_to_server_bytes(
-            float(offsets[local_rank]),
-            float(lengths[local_rank]),
-            fs.stripe_size,
-            app.servers,
-            self.n_servers,
+    def issue_process_operations(self, app: Application, ranks: np.ndarray,
+                                 ops: np.ndarray) -> float:
+        """Load operation ``ops[i]`` of local rank ``ranks[i]`` of ``app``, for
+        every ``i`` in order (non-collective mode); returns the bytes issued.
+        """
+        ranks = np.asarray(ranks, dtype=np.int64)
+        ops = np.asarray(ops, dtype=np.int64)
+        offsets = np.empty(ranks.shape[0], dtype=np.float64)
+        lengths = np.empty(ranks.shape[0], dtype=np.float64)
+        for op in np.unique(ops):
+            pick = ops == op
+            op_offsets, op_lengths = app.operation_extents(int(op))
+            offsets[pick] = op_offsets[ranks[pick]]
+            lengths[pick] = op_lengths[ranks[pick]]
+        procs = self.app_proc_ids[app.index][ranks]
+        per_proc = self._load_extents(app, procs, offsets, lengths)
+        # Added to the running total process by process.
+        runtime = self.app_runtime[app.index]
+        runtime.issued_bytes = float(np.cumsum(np.r_[runtime.issued_bytes, per_proc])[-1])
+        self.proc_current_op[procs] = ops
+        return float(per_proc.sum())
+
+    def _load_extents(self, app: Application, procs: np.ndarray,
+                      offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Stripe one extent per process onto its connections.
+
+        Adds each process's per-server bytes to ``send_remaining``, records
+        them as the fragment sizes, and returns every process's issued bytes:
+        the sum over the servers it touches, in server order, with the same
+        summation tree as a 1-D sum of just those values (rows are grouped by
+        their touched count, so no zero padding enters a sum).
+        """
+        per_server = extents_to_server_matrix(
+            offsets, lengths, self.scenario.filesystem.stripe_size,
+            app.servers, self.n_servers,
         )
-        touched = np.flatnonzero(per_server > 0)
-        conns = self.conn_matrix[proc, touched]
-        self.send_remaining[conns] += per_server[touched]
-        self.frag_size[conns] = per_server[touched]
-        issued = float(per_server[touched].sum())
-        self.app_runtime[app.index].issued_bytes += issued
-        self.proc_current_op[proc] = op_index
-        return issued
+        touched = per_server > 0
+        conns = self.conn_matrix[procs][touched]
+        if np.any(conns < 0):  # pragma: no cover - defensive
+            raise SimulationError(
+                f"a process of {app.name!r} has no connection to a server it writes to"
+            )
+        values = per_server[touched]
+        self.send_remaining[conns] += values
+        self.frag_size[conns] = values
+        counts = touched.sum(axis=1)
+        if counts.min() == counts.max():
+            return values.reshape(counts.shape[0], -1).sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        sums = np.zeros(counts.shape[0], dtype=np.float64)
+        widths = np.flatnonzero(np.bincount(counts))
+        for width in widths[widths > 0]:
+            rows = np.flatnonzero(counts == width)
+            sums[rows] = values[starts[rows, None] + np.arange(width)].sum(axis=1)
+        return sums
 
     # ------------------------------------------------------------------ #
     # Aggregations used by the stepper
@@ -284,7 +304,10 @@ class ModelState:
 
     def all_finished(self) -> bool:
         """True when every application has completed its I/O phase."""
-        return all(rt.finished for rt in self.app_runtime)
+        for runtime in self.app_runtime:
+            if not runtime.finished:
+                return False
+        return True
 
     def completed_bytes_per_app(self) -> np.ndarray:
         """Bytes durably handled so far, per application."""

@@ -95,7 +95,8 @@ class StepContext:
     #: Step inputs (owned by :meth:`ModelStepper.step`): the step's start
     #: time and length on the connection lanes, and its length on the server
     #: lanes.  Scalars here; the batched kernel, whose members advance on
-    #: their own clocks, passes one value per lane instead.
+    #: their own clocks, passes one value per lane instead (and a zero
+    #: server-lane length for finished members, whose lanes must not move).
     now: Union[float, np.ndarray]
     dt: Union[float, np.ndarray]
     dt_server: Union[float, np.ndarray, None] = None
@@ -775,6 +776,7 @@ class ModelStepper:
                     self._finish_app(runtime, now)
                 else:
                     runtime.waiting_issue = True
+                    state.app_active[app.index] = False
                     next_op = runtime.current_op + 1
                     delay = pattern.collective_overhead
                     sim.schedule_after(
@@ -795,8 +797,8 @@ class ModelStepper:
 
         The idle/ready/finished classification is one set of grouped
         vectorized reductions over the application's (precomputed) process
-        index block; only the processes that actually issue fall back to the
-        per-process striping arithmetic.
+        index block, and the processes that issue load their next operations
+        with one vectorized striping call.
         """
         state = self.state
         app = runtime.app
@@ -807,16 +809,14 @@ class ModelStepper:
         exhausted = (current + 1) >= app.n_operations
         ready = idle & ~exhausted & (state.proc_next_issue[ids] <= now)
         if ready.any():
-            overhead = pattern.collective_overhead
-            for proc, op in zip(ids[ready], current[ready]):
-                proc = int(proc)
-                state.issue_process_operation(proc, int(op) + 1)
-                state.proc_next_issue[proc] = now + overhead
+            state.issue_process_operations(app, np.flatnonzero(ready), current[ready] + 1)
+            state.proc_next_issue[ids[ready]] = now + pattern.collective_overhead
         if int(np.count_nonzero(idle & exhausted)) == ids.shape[0]:
             self._finish_app(runtime, now)
 
     def _finish_app(self, runtime, now: float) -> None:
         runtime.finished = True
+        self.state.app_active[runtime.app.index] = False
         runtime.end_time = now
         runtime.completed_bytes = runtime.issued_bytes
         self.state.recorder.mark(now, "phase", f"{runtime.app.name}.end")
@@ -849,11 +849,12 @@ class ModelStepper:
         if self.on_control_change is not None:
             self.on_control_change(sim)
         runtime.started = True
+        state.app_active[app_index] = True
         runtime.actual_start_time = sim.now
         state.recorder.mark(sim.now, "phase", f"{app.name}.start")
         if app.spec.pattern.collective:
             state.issue_operation(app, 0)
         else:
-            for proc in state.app_proc_ids[app_index]:
-                state.issue_process_operation(int(proc), 0)
-                state.proc_next_issue[int(proc)] = sim.now
+            ranks = app.ranks()
+            state.issue_process_operations(app, ranks, np.zeros_like(ranks))
+            state.proc_next_issue[state.app_proc_ids[app_index]] = sim.now

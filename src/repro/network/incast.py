@@ -104,7 +104,10 @@ class ServerBuffers:
         #: as the number of base steps it replaced, keeping the pressure
         #: fraction time-weighted and therefore comparable across policies.
         self.full_steps = np.zeros(self.n_servers, dtype=np.float64)
-        self.observed_steps = 0.0
+        #: Step weight each server observed (the pressure denominator).  One
+        #: value per server so a batched kernel can freeze the lanes of a
+        #: finished member; every server of one run observes the same steps.
+        self.step_weight = np.zeros(self.n_servers, dtype=np.float64)
 
     @cached_property
     def _scratch_conn(self) -> np.ndarray:
@@ -182,11 +185,15 @@ class ServerBuffers:
         drain_rate = np.maximum(np.asarray(drain_rate, dtype=np.float64), 1e-9)
         return self.fill / drain_rate
 
+    @property
+    def observed_steps(self) -> float:
+        """Step weight observed so far (the same on every server)."""
+        return float(self.step_weight[0])
+
     def pressure_fraction(self) -> np.ndarray:
         """Fraction of observed steps each server spent with a full buffer."""
-        if self.observed_steps == 0:
-            return np.zeros(self.n_servers, dtype=np.float64)
-        return self.full_steps / float(self.observed_steps)
+        return np.divide(self.full_steps, self.step_weight,
+                         out=np.zeros(self.n_servers), where=self.step_weight != 0)
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -422,17 +429,19 @@ class ServerBuffers:
         self.total_drained += drained_per_server
         return drained_per_server, drained_per_conn
 
-    def note_step(self, full_threshold: float = 0.95, weight: float = 1.0) -> None:
+    def note_step(self, full_threshold: float = 0.95, weight=1.0) -> None:
         """Record occupancy statistics for one step (for root-cause analysis).
 
         ``weight`` is the step's worth in base-step units (1 under the fixed
-        policy; ``dt / base_dt`` for an adaptive jump).
+        policy; ``dt / base_dt`` for an adaptive jump), one value or one per
+        server; a server with zero weight does not advance.
         """
-        self.observed_steps += weight
+        self.step_weight += weight
         occupancy = self._scratch_fraction
         np.divide(self.fill, self.capacity, out=occupancy)
         np.clip(occupancy, 0.0, 1.0, out=occupancy)
-        self.full_steps[occupancy >= full_threshold] += weight
+        np.add(self.full_steps, weight, out=self.full_steps,
+               where=occupancy >= full_threshold)
 
     def reset(self) -> None:
         """Clear all state (buffers and statistics)."""
@@ -441,4 +450,4 @@ class ServerBuffers:
         self.total_admitted[:] = 0.0
         self.total_drained[:] = 0.0
         self.full_steps[:] = 0.0
-        self.observed_steps = 0.0
+        self.step_weight[:] = 0.0

@@ -1,14 +1,10 @@
 """Parallel-file-system substrate (an OrangeFS/PVFS2-like system).
 
 * :mod:`repro.pfs.striping`   — round-robin striping arithmetic (file offsets
-  to per-server byte counts),
-* :mod:`repro.pfs.request`    — request and fragment records,
-* :mod:`repro.pfs.client`     — the client library that turns application
-  requests into per-server fragments,
-* :mod:`repro.pfs.server`     — the server model (receive buffer, Trove-like
-  ingest with per-fragment costs, sync ON/OFF/null backends),
-* :mod:`repro.pfs.filesystem` — a deployment: a set of servers plus the
-  striping configuration.
+  to per-server byte counts, one extent or a batch of them at once),
+* :mod:`repro.pfs.filesystem` — a deployment: every server's capacity laws
+  (Trove-like ingest with per-fragment costs, sync ON/OFF/null backends) and
+  accounting, held as flat per-server lanes and updated elementwise.
 """
 
 from repro.pfs.striping import (
@@ -17,9 +13,6 @@ from repro.pfs.striping import (
     server_of_stripe,
     stripe_span,
 )
-from repro.pfs.request import Fragment, WriteRequest
-from repro.pfs.client import PVFSClient
-from repro.pfs.server import PVFSServer
 from repro.pfs.filesystem import PVFSDeployment
 
 __all__ = [
@@ -27,9 +20,5 @@ __all__ = [
     "stripe_span",
     "extent_to_server_bytes",
     "extents_to_server_matrix",
-    "Fragment",
-    "WriteRequest",
-    "PVFSClient",
-    "PVFSServer",
     "PVFSDeployment",
 ]

@@ -114,18 +114,49 @@ def extents_to_server_matrix(
     """Per-extent, per-server byte counts.
 
     Vectorizes :func:`extent_to_server_bytes` over a batch of extents (one
-    per process).  Returns an array of shape ``(len(offsets), n_servers_total)``.
+    per process).  Returns an array of shape ``(len(offsets), n_servers_total)``
+    whose every row is bitwise equal to :func:`extent_to_server_bytes` of
+    that extent: all stripes of all extents, in extent-major, stripe order,
+    go through one unbuffered ``np.add.at`` into the flattened output, so
+    every bin receives its additions in the per-extent order.
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
     if offsets.shape != lengths.shape:
         raise ConfigurationError("offsets and lengths must have the same shape")
-    result = np.zeros((offsets.shape[0], n_servers_total), dtype=np.float64)
-    for i in range(offsets.shape[0]):
-        result[i] = extent_to_server_bytes(
-            float(offsets[i]), float(lengths[i]), stripe_size, servers, n_servers_total
-        )
-    return result
+    if n_servers_total <= 0:
+        raise ConfigurationError("n_servers_total must be positive")
+    owners = np.asarray(servers, dtype=np.int64)
+    if owners.size == 0:
+        raise ConfigurationError("servers must not be empty")
+    if owners.min() < 0 or owners.max() >= n_servers_total:
+        raise ConfigurationError("server indices out of range")
+    if stripe_size <= 0:
+        raise ConfigurationError("stripe_size must be positive")
+    if offsets.size and (offsets.min() < 0 or lengths.min() < 0):
+        raise ConfigurationError("offsets and lengths must be non-negative")
+    n = offsets.shape[0]
+    out = np.zeros(n * n_servers_total, dtype=np.float64)
+    # The stripe_span arithmetic, per extent; zero-length extents get none.
+    first = offsets // stripe_size
+    end = offsets + lengths
+    last = np.maximum(np.ceil(end / stripe_size) - 1.0, first)
+    counts = np.where(lengths > 0, last - first + 1.0, 0.0).astype(np.int64)
+    extent = np.repeat(np.arange(n), counts)
+    starts = np.cumsum(counts) - counts
+    stripe = first[extent] + (np.arange(extent.shape[0]) - starts[extent])
+    sizes = np.full(extent.shape[0], float(stripe_size), dtype=np.float64)
+    # Trim the first and last (possibly partial) stripes.
+    live = np.flatnonzero(counts)
+    head = starts[live]
+    sizes[head] = np.minimum(
+        stripe_size - (offsets[live] - first[live] * stripe_size), lengths[live]
+    )
+    multi = live[counts[live] > 1]
+    sizes[starts[multi] + counts[multi] - 1] = end[multi] - last[multi] * stripe_size
+    bins = extent * n_servers_total + owners[stripe.astype(np.int64) % owners.shape[0]]
+    np.add.at(out, bins, sizes)
+    return out.reshape(n, n_servers_total)
 
 
 def servers_touched(

@@ -11,8 +11,10 @@ interference are:
   pay a positioning cost per access).
 
 :class:`repro.storage.device.DeviceSpec` captures these parameters and
-implements the effective-bandwidth law; :mod:`repro.storage.writeback`
-implements the sync-OFF page-cache path.
+implements the effective-bandwidth law (for one value or elementwise over
+arrays); :mod:`repro.storage.writeback` implements the sync-OFF page-cache
+path and :mod:`repro.storage.queueing` the sync-ON device queue, each as
+flat per-server lane arrays that one call updates for every server.
 """
 
 from repro.storage.device import DeviceKind, DeviceSpec

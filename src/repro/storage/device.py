@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro import units
 from repro.errors import ConfigurationError
 
@@ -82,12 +84,6 @@ class DeviceSpec:
             raise ConfigurationError("interleave_granule_cap must be positive")
         if self.sync_flush_cost < 0:
             raise ConfigurationError("sync_flush_cost must be non-negative")
-        # Memo for the bandwidth law below: the law is a pure function of
-        # (n_streams, granularity) per (frozen) spec, and one simulation step
-        # evaluates it several times per server with recurring arguments.
-        # object.__setattr__ because the dataclass is frozen; the cache is not
-        # a field, so equality/hash/asdict are unaffected.
-        object.__setattr__(self, "_bw_cache", {})
 
     # ------------------------------------------------------------------ #
     # Bandwidth law
@@ -98,7 +94,7 @@ class DeviceSpec:
         """True for the null-aio pseudo device."""
         return self.write_bw == float("inf")
 
-    def effective_write_bw(self, n_streams: int, granularity: float) -> float:
+    def effective_write_bw(self, n_streams, granularity):
         """Aggregate write bandwidth with ``n_streams`` interleaved streams.
 
         Parameters
@@ -112,9 +108,13 @@ class DeviceSpec:
             switches — in the full model this is the fragment size arriving
             at the server, capped by :attr:`interleave_granule_cap`.
 
+        Both arguments may be scalars (a ``float`` comes back) or arrays of
+        per-server values (evaluated elementwise, bit for bit the scalar
+        law on every element).
+
         Returns
         -------
-        float
+        float or numpy.ndarray
             Aggregate bytes/s the device sustains (to be shared among the
             streams by the caller).
 
@@ -126,28 +126,19 @@ class DeviceSpec:
             eff = write_bw / (1 + switch_fraction * positioning_cost * write_bw / granule)
 
         where ``switch_fraction`` is 0 for a single stream and approaches 1
-        as the number of interleaved streams grows.
+        as the number of interleaved streams grows.  A zero switch fraction
+        or positioning cost makes the penalty an exact zero, so the
+        sequential case is ``write_bw`` itself.
         """
         if self.is_unlimited:
             return float("inf")
-        if granularity <= 0:
+        if np.less_equal(granularity, 0).any():
             raise ConfigurationError("granularity must be positive")
-        n_streams = max(int(n_streams), 1)
-        granule = min(float(granularity), self.interleave_granule_cap)
-        key = (n_streams, granule)
-        cached = self._bw_cache.get(key)
-        if cached is not None:
-            return cached
-        switch_fraction = 1.0 - 1.0 / n_streams if n_streams > 1 else 0.0
-        if self.positioning_cost == 0.0 or switch_fraction == 0.0:
-            penalty = 0.0
-        else:
-            penalty = switch_fraction * self.positioning_cost * self.write_bw / granule
+        switch_fraction = 1.0 - 1.0 / np.maximum(n_streams, 1)
+        granule = np.minimum(granularity, self.interleave_granule_cap)
+        penalty = switch_fraction * self.positioning_cost * self.write_bw / granule
         result = self.write_bw / (1.0 + penalty)
-        if len(self._bw_cache) >= 4096:
-            self._bw_cache.clear()
-        self._bw_cache[key] = result
-        return result
+        return result if np.ndim(result) else float(result)
 
     def effective_random_bw(self, granularity: float) -> float:
         """Bandwidth for fully random accesses of ``granularity`` bytes each.

@@ -5,11 +5,17 @@ backend and how busy the backend has been.  :class:`DeviceQueue` wraps a
 :class:`~repro.storage.device.DeviceSpec` with that accounting so the
 root-cause analysis in :mod:`repro.core.rootcause` can report device
 utilization and identify the device as (or rule it out as) the bottleneck.
+
+One queue holds the accounting of ``n_lanes`` servers as flat arrays (one
+lane per server) and updates every lane with one elementwise step; see
+:class:`~repro.pfs.filesystem.PVFSDeployment` for the lane layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.storage.device import DeviceSpec
@@ -19,84 +25,84 @@ __all__ = ["DeviceQueue"]
 
 @dataclass
 class DeviceQueue:
-    """Accounting wrapper around a backend device.
+    """Accounting wrapper around the backend devices of ``n_lanes`` servers.
 
     Attributes
     ----------
     device:
-        The device specification (bandwidth law).
+        The device specification (bandwidth law) every lane shares.
+    n_lanes:
+        Number of servers (lanes) accounted.
     pending_bytes:
-        Bytes accepted by the server but not yet written to the device.
+        Per lane, bytes accepted by the server but not yet written to the
+        device.
     """
 
-    device: DeviceSpec
-    pending_bytes: float = field(default=0.0, init=False)
-    written_bytes: float = field(default=0.0, init=False)
-    busy_time: float = field(default=0.0, init=False)
-    observed_time: float = field(default=0.0, init=False)
+    #: The per-lane state arrays (updated in place, so they may be views).
+    LANE_ARRAYS = ("pending_bytes", "written_bytes", "busy_time", "observed_time")
 
-    def enqueue(self, nbytes: float) -> None:
-        """Add bytes to the device's pending queue."""
-        if nbytes < 0:
+    device: DeviceSpec
+    n_lanes: int = 1
+    pending_bytes: np.ndarray = field(init=False)
+    written_bytes: np.ndarray = field(init=False)
+    busy_time: np.ndarray = field(init=False)
+    observed_time: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name in self.LANE_ARRAYS:
+            setattr(self, name, np.zeros(self.n_lanes, dtype=np.float64))
+
+    def enqueue(self, nbytes) -> None:
+        """Add bytes (per lane, or one value for every lane) to the queue."""
+        if np.min(nbytes) < 0:
             raise SimulationError("cannot enqueue a negative number of bytes")
         self.pending_bytes += nbytes
 
-    def drain(self, dt: float, n_streams: int = 1, granularity: float = 4 * 1024 * 1024) -> float:
-        """Write pending data for ``dt`` seconds; return bytes written.
+    def drain(self, dt: float, n_streams=1, granularity=4 * 1024 * 1024) -> np.ndarray:
+        """Write pending data for ``dt`` seconds; return bytes written per lane.
 
         Also accumulates busy/observed time so that :meth:`utilization`
         reflects the fraction of time the device had work to do.
         """
-        if dt <= 0:
+        if np.min(dt) <= 0:
             raise SimulationError("dt must be positive")
-        self.observed_time += dt
-        if self.pending_bytes <= 0:
-            return 0.0
-        if self.device.is_unlimited:
-            written = self.pending_bytes
-            self.pending_bytes = 0.0
-            self.written_bytes += written
-            # The null device is never "busy".
-            return written
         rate = self.device.effective_write_bw(n_streams, granularity)
-        capacity = rate * dt
-        written = min(self.pending_bytes, capacity)
-        self.pending_bytes -= written
-        self.written_bytes += written
-        self.busy_time += dt * (written / capacity if capacity > 0 else 0.0)
-        return written
+        return self.commit_step(0.0, dt, rate)
 
-    def commit_step(self, nbytes: float, dt: float, n_streams: int, granularity: float) -> None:
-        """Fused enqueue + drain for the per-step hot path.
+    def commit_step(self, nbytes, dt, rate) -> np.ndarray:
+        """Fused enqueue + drain for the per-step hot path; returns the bytes
+        written per lane.
 
         Same arithmetic as :meth:`enqueue` followed by :meth:`drain` (whose
-        validation the stepper has already performed), in one call so the
-        simulation loop pays a single method dispatch per server.
+        validation the caller has already performed), given the device's
+        effective bandwidth ``rate`` for this step's layout.  A lane with
+        zero ``nbytes`` and zero ``dt`` is left exactly unchanged.
         """
         self.pending_bytes += nbytes
         self.observed_time += dt
-        if self.pending_bytes <= 0:
-            return
         if self.device.is_unlimited:
-            self.written_bytes += self.pending_bytes
-            self.pending_bytes = 0.0
-            return
-        rate = self.device.effective_write_bw(n_streams, granularity)
+            # The null device writes everything at once and is never busy.
+            written = self.pending_bytes.copy()
+            self.written_bytes += written
+            self.pending_bytes[:] = 0.0
+            return written
         capacity = rate * dt
-        written = min(self.pending_bytes, capacity)
+        written = np.minimum(self.pending_bytes, capacity)
         self.pending_bytes -= written
         self.written_bytes += written
-        self.busy_time += dt * (written / capacity if capacity > 0 else 0.0)
+        fraction = np.divide(written, capacity, out=np.zeros_like(written),
+                             where=capacity > 0)
+        self.busy_time += dt * fraction
+        return written
 
-    def utilization(self) -> float:
-        """Fraction of observed time the device spent writing (0 if unobserved)."""
-        if self.observed_time == 0:
-            return 0.0
-        return min(self.busy_time / self.observed_time, 1.0)
+    def utilization(self) -> np.ndarray:
+        """Per lane, the fraction of observed time the device spent writing
+        (0 where unobserved)."""
+        fraction = np.divide(self.busy_time, self.observed_time,
+                             out=np.zeros(self.n_lanes), where=self.observed_time != 0)
+        return np.minimum(fraction, 1.0)
 
     def reset(self) -> None:
         """Drop all accounting state."""
-        self.pending_bytes = 0.0
-        self.written_bytes = 0.0
-        self.busy_time = 0.0
-        self.observed_time = 0.0
+        for name in self.LANE_ARRAYS:
+            getattr(self, name)[:] = 0.0

@@ -12,7 +12,9 @@ Member Equivalence Properties:
   members, traced and untraced members — ``simulate_many`` gives every
   member exactly the result of ``simulate_scenario(member, seed)``: every
   phase boundary, byte and collapse count, component statistic, step count,
-  end time, trace series sample and trace mark.
+  end time, trace series sample and trace mark.  The deployments cover
+  every branch of the storage commit: sync ON, sync OFF with a cache that
+  has room and one that fills, and null-aio.
 - Results come back in input order.
 
 Planner Properties:
@@ -31,7 +33,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +43,7 @@ from repro import units
 from repro.config.control import SteppingMode, SteppingPolicy
 from repro.config.presets import make_scenario
 from repro.core.delta import default_deltas
-from repro.model.batch import cadence_of, plan_buckets, simulate_many
+from repro.model.batch import BatchSimulator, cadence_of, plan_buckets, simulate_many
 from repro.model.simulator import simulate_scenario
 from repro.obs.telemetry import telemetry_session
 from repro.scenarios.spec import build_scenario
@@ -57,11 +61,17 @@ UNTRACED = TraceConfig(
     record_progress=False, record_server_state=False, record_marks=False
 )
 
-deployments = st.sampled_from([
+#: Between them, these reach every branch of the storage commit law: the
+#: device queue (sync ON), the write-back cache with room and — with a
+#: 4 MiB page cache per server — full (sync OFF), and the null-aio bypass.
+DEPLOYMENTS = [
     dict(device="hdd", sync_mode="sync-on"),
     dict(device="ssd", sync_mode="sync-off"),
     dict(device="hdd", sync_mode="sync-on", pattern="strided"),
-])
+    dict(device="hdd", sync_mode="null-aio"),
+    dict(device="hdd", sync_mode="sync-off", page_cache_mib=4),
+]
+deployments = st.sampled_from(DEPLOYMENTS)
 
 members = st.fixed_dictionaries({
     "delta": st.sampled_from([-0.6, -0.25, -0.05, 0.0, 0.05, 0.3, 0.8]),
@@ -73,12 +83,18 @@ members = st.fixed_dictionaries({
 
 
 def _member_scenario(deployment, member):
+    deployment = dict(deployment)
+    page_cache_mib = deployment.pop("page_cache_mib", None)
     scenario = make_scenario(
         "tiny",
         bytes_per_process=member["mib"] * units.MiB,
         trace=TRACED if member["traced"] else UNTRACED,
         **deployment,
     ).with_delay(member["delta"])
+    if page_cache_mib is not None:
+        fs = scenario.filesystem
+        server = replace(fs.server, page_cache_bytes=page_cache_mib * units.MiB)
+        scenario = scenario.with_filesystem(replace(fs, server=server))
     if not member["two_apps"]:
         scenario = scenario.with_applications(scenario.applications[:1])
     return scenario
@@ -110,6 +126,32 @@ class TestPerMemberCadenceEquivalence:
         for scenario, seed, result in zip(scenarios, seeds, batched):
             alone = simulate_scenario(scenario, seed=seed)
             assert _full_result(result) == _full_result(alone)
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS,
+                             ids=lambda d: "-".join(str(v) for v in d.values()))
+    def test_every_commit_branch_matches_scalar(self, deployment):
+        """Every deployment of the strategy, whatever hypothesis draws: a
+        fixed mixed fleet equals its scalar runs member by member."""
+        fleet = [
+            dict(delta=-0.25, seed=None, mib=4, two_apps=True, traced=True),
+            dict(delta=0.3, seed=7, mib=1, two_apps=False, traced=False),
+            dict(delta=0.0, seed=None, mib=8, two_apps=True, traced=False),
+        ]
+        scenarios = [_member_scenario(deployment, m) for m in fleet]
+        seeds = [m["seed"] for m in fleet]
+        batch = BatchSimulator(scenarios, seeds)
+        batched = batch.run()
+        for scenario, seed, result in zip(scenarios, seeds, batched):
+            alone = simulate_scenario(scenario, seed=seed)
+            assert _full_result(result) == _full_result(alone)
+        if "page_cache_mib" in deployment:
+            # The small page cache really fills: only a (nearly) full cache
+            # absorbs fewer bytes than the servers drained.
+            assert any(
+                (m.sim.state.deployment.cache.total_absorbed
+                 < m.sim.state.deployment.drained_bytes).any()
+                for m in batch.members
+            )
 
     def test_mixed_cadence_fleet_really_mixes(self):
         """The strategy space covers distinct steps and start anchors."""

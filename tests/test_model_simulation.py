@@ -33,10 +33,33 @@ class TestModelState:
         assert state.outstanding_per_app()[0] == pytest.approx(app.total_bytes)
         assert state.outstanding_per_app()[1] == 0.0
 
+    def test_issued_bytes_keep_the_per_rank_summation_order(self):
+        """One-shot issue sums each rank over its touched servers (a 1-D sum
+        of just those values) and then the ranks in order — with 12 servers
+        and odd request sizes the ranks touch different server counts, some
+        of them 8 or more, where NumPy's pairwise sum regroups."""
+        from repro.pfs.striping import extent_to_server_bytes
+
+        for request in (48 * units.KiB, 777777.7, 1.3 * units.MiB):
+            scenario = make_scenario("tiny", pattern="strided", request_size=request,
+                                     bytes_per_process=8 * units.MiB, n_servers=12)
+            state = ModelState(scenario, RandomStreams(0))
+            app = state.applications[0]
+            for op in range(min(app.n_operations, 4)):
+                issued = state.issue_operation(app, op)
+                expected = 0.0
+                for offset, length in zip(*app.operation_extents(op)):
+                    per_server = extent_to_server_bytes(
+                        float(offset), float(length), scenario.filesystem.stripe_size,
+                        app.servers, state.n_servers,
+                    )
+                    expected += float(per_server[per_server > 0].sum())
+                assert issued == expected
+
     def test_issue_process_operation(self, tiny_scenario):
         state = ModelState(tiny_scenario, RandomStreams(0))
         app = state.applications[0]
-        issued = state.issue_process_operation(int(app.proc_ids()[0]), 0)
+        issued = state.issue_process_operations(app, np.array([0]), np.array([0]))
         assert issued == pytest.approx(app.spec.pattern.bytes_per_process)
 
 

@@ -92,6 +92,28 @@ class TestMatrixAndTouched:
     def test_matrix_validation(self):
         with pytest.raises(ConfigurationError):
             extents_to_server_matrix(np.array([0.0]), np.array([1.0, 2.0]), 64, (0,), 1)
+        with pytest.raises(ConfigurationError):
+            extents_to_server_matrix(np.array([-1.0]), np.array([1.0]), 64, (0,), 1)
+        with pytest.raises(ConfigurationError):
+            extents_to_server_matrix(np.array([0.0]), np.array([1.0]), 64, (2,), 2)
+
+    def test_matrix_rows_are_bitwise_per_extent(self):
+        """Every row equals extent_to_server_bytes of its extent, bit for bit,
+        including non-integral stripe sizes, offsets and lengths."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n_total = int(rng.integers(1, 13))
+            servers = tuple(int(s) for s in rng.permutation(n_total)[
+                : int(rng.integers(1, n_total + 1))])
+            stripe = float(rng.choice([333.3, 4096.0, 65536.0, 1000.5]))
+            offsets = rng.random(6) * 1e6 * rng.random()
+            lengths = rng.random(6) * float(rng.choice([1e2, 1e4, 1e6]))
+            lengths[rng.random(6) < 0.2] = 0.0
+            matrix = extents_to_server_matrix(offsets, lengths, stripe, servers, n_total)
+            for row, offset, length in zip(matrix, offsets, lengths):
+                alone = extent_to_server_bytes(float(offset), float(length), stripe,
+                                               servers, n_total)
+                assert row.tobytes() == alone.tobytes()
 
     def test_servers_touched_counts(self):
         servers = tuple(range(12))
